@@ -11,13 +11,17 @@ live ORB instead of the offline model:
   emit (byte, stage and wire events), generalizing the old
   ``on_bytes`` callback into composable :class:`EventSink`\\ s;
 * :mod:`repro.obs.stages` — the six invocation stages of Fig. 7 and
-  the :class:`StageTimer` that groups them per call;
-* :mod:`repro.obs.tracing` — :class:`TracingInterceptor` (the built-in
-  interceptor producing breakdowns + metrics) and :class:`WireTracer`
+  the per-call :class:`InvocationBreakdown`;
+* :mod:`repro.obs.dtrace` — the :class:`SpanEngine` (one span per
+  client attempt or served request, sync or async) and distributed
+  tracing: trace contexts carried in GIOP service contexts,
+  cross-process span trees splitting each invocation along the
+  control/deposit boundary;
+* :mod:`repro.obs.flightrec` — the always-on ring retention of the
+  span engine (:class:`FlightRecorder`);
+* :mod:`repro.obs.tracing` — :class:`TracingInterceptor` (breakdowns +
+  metrics from finished client spans) and :class:`WireTracer`
   (per-GIOP-message wire log);
-* :mod:`repro.obs.dtrace` — distributed tracing: trace contexts carried
-  in GIOP service contexts, cross-process span trees splitting each
-  invocation along the control/deposit boundary;
 * :mod:`repro.obs.export` — text/JSON exporters and the
   ``dump_metrics``/``dump_spans`` hooks the benchmark CLI exposes.
 
@@ -31,8 +35,9 @@ Quickstart::
     print(render_text(tracer.registry))      # metrics exposition
 """
 
-from .dtrace import (DistributedTracer, Span, SpanCollector, TraceContext,
-                     build_span_tree, extract_trace_context, render_span_tree)
+from .dtrace import (DistributedTracer, Span, SpanCollector, SpanEngine,
+                     TraceContext, build_span_tree, extract_trace_context,
+                     render_span_tree)
 from .events import (ByteEvent, CallbackSink, CompositeSink, EventSink,
                      NullSink, RecordingSink, StageEvent, StageSpan,
                      WireEvent, stage_span)
@@ -44,8 +49,7 @@ from .metrics import (DEFAULT_LATENCY_BUCKETS, DEFAULT_SIZE_BUCKETS, Counter,
                       quantile_from_buckets)
 from .stages import (CLIENT_STAGES, STAGE_CONTROL_SEND, STAGE_DEMARSHAL,
                      STAGE_DEPOSIT_RECV, STAGE_DEPOSIT_SEND, STAGE_MARSHAL,
-                     STAGE_RECV_WAIT, STAGE_SERVER_WAIT, InvocationBreakdown,
-                     StageTimer)
+                     STAGE_RECV_WAIT, STAGE_SERVER_WAIT, InvocationBreakdown)
 from .tracing import TracingInterceptor, WireTracer, format_wire_event
 
 __all__ = [
@@ -57,10 +61,11 @@ __all__ = [
     "STAGE_MARSHAL", "STAGE_CONTROL_SEND", "STAGE_DEPOSIT_SEND",
     "STAGE_SERVER_WAIT", "STAGE_DEPOSIT_RECV", "STAGE_DEMARSHAL",
     "STAGE_RECV_WAIT", "CLIENT_STAGES",
-    "InvocationBreakdown", "StageTimer",
+    "InvocationBreakdown",
     "TracingInterceptor", "WireTracer", "format_wire_event",
     "to_dict", "to_json", "render_text", "dump_metrics",
-    "DistributedTracer", "Span", "SpanCollector", "TraceContext",
+    "DistributedTracer", "Span", "SpanCollector", "SpanEngine",
+    "TraceContext",
     "extract_trace_context", "build_span_tree", "render_span_tree",
     "spans_to_dict", "dump_spans", "quantile_from_buckets",
     "FlightRecorder", "DEFAULT_SLOW_THRESHOLD",

@@ -1,4 +1,4 @@
-"""Distributed tracing across the control/data split (``repro.obs.dtrace``).
+"""Spans and the span engine: the flight recorder and distributed tracing.
 
 The Fig. 7 stage timers of :mod:`repro.obs.stages` see one process at a
 time.  This module follows a single invocation *across* processes: a
@@ -12,27 +12,33 @@ tree per trace, spanning client, wire and server.
 Each :class:`Span` carries the six Fig. 7 stages of its invocation as
 sub-spans and splits its byte accounting along the paper's central
 boundary: control-path bytes (GIOP headers + marshaled bodies) vs
-deposit-path bytes (the zero-copy payloads).  Spans flow into a
-:class:`SpanCollector` — shareable between ORBs of one process, or
-dumped as JSON (span schema v2, see :mod:`repro.obs.export`) and merged
-offline by trace id for genuinely distributed runs.
+deposit-path bytes (the zero-copy payloads).
 
-The :class:`DistributedTracer` is an :class:`~repro.obs.events.EventSink`:
-wired into an ORB's sink chain (``orb.enable_tracing(distributed=True)``)
-it attributes every stage event to the innermost active span of the
-emitting thread.  Propagation state is thread-local, which matches the
-ORB's dispatch model: a servant's nested calls run on the thread of the
-upcall, so the server span is exactly the innermost active span when
-the nested proxy asks for the current context.
+One :class:`SpanEngine` per ORB produces every span: one per client
+attempt (sync or async) and one per served request.  It is an
+:class:`~repro.obs.events.EventSink` in the ORB's sink chain and
+attributes each stage event to the innermost active span of the
+emitting thread or asyncio task (the active chain is a
+:class:`contextvars.ContextVar`).  A servant's nested calls run in the
+context of the upcall, so the server span is exactly the innermost
+active span when the nested proxy asks for the current context.  Two
+retention policies keep finished spans: the always-on ring of the
+flight recorder (:mod:`repro.obs.flightrec`) and, with
+``orb.enable_tracing(distributed=True)``, a :class:`SpanCollector` —
+shareable between ORBs of one process, or dumped as JSON (span schema
+v2, see :mod:`repro.obs.export`) and merged offline by trace id for
+genuinely distributed runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from ..giop.messages import (SVC_CTX_TRACE, GIOPError, ServiceContext,
@@ -42,9 +48,10 @@ from .stages import (STAGE_CONTROL_SEND, STAGE_DEPOSIT_RECV,
                      STAGE_DEPOSIT_SEND, STAGE_RECV_WAIT, STAGE_SERVER_WAIT)
 
 __all__ = [
-    "TraceContext", "Span", "SpanCollector", "DistributedTracer",
-    "InvocationScope", "extract_trace_context", "build_span_tree",
-    "render_span_tree", "SpanNode",
+    "TraceContext", "Span", "SpanCollector", "SpanEngine",
+    "DistributedTracer", "DEFAULT_SLOW_THRESHOLD", "InvocationScope",
+    "extract_trace_context", "build_span_tree", "render_span_tree",
+    "SpanNode",
 ]
 
 #: stages whose byte counts are control-path wire bytes.  The blocking
@@ -54,6 +61,11 @@ _CONTROL_SENT = (STAGE_CONTROL_SEND,)
 _CONTROL_RECV = (STAGE_SERVER_WAIT, STAGE_RECV_WAIT)
 _DEPOSIT_SENT = (STAGE_DEPOSIT_SEND,)
 _DEPOSIT_RECV = (STAGE_DEPOSIT_RECV,)
+
+#: default slow-call threshold (seconds) of the ring: loopback calls are
+#: tens of microseconds, cross-host ones single-digit milliseconds, so
+#: 50 ms flags genuine outliers on every transport without sampling noise
+DEFAULT_SLOW_THRESHOLD = 0.050
 
 
 @dataclass(frozen=True)
@@ -203,7 +215,7 @@ class Span:
 class SpanCollector:
     """Thread-safe bounded store of finished spans.
 
-    One collector can back several :class:`DistributedTracer` instances
+    One collector can back the span engines of several ORBs
     (client + server ORBs of one process share it, so a cross-process
     trace assembles in memory); distributed deployments dump each
     process's collector and merge by trace id.
@@ -248,7 +260,7 @@ class SpanCollector:
 class InvocationScope:
     """The per-logical-call trace decision, fixed across retries.
 
-    The proxy creates one scope per :meth:`IIOPProxy.invoke`; every
+    The proxy creates one scope per logical invocation; every
     attempt (the first try and each retry) opens a *fresh* span inside
     it, so a retried call keeps its trace id while each attempt on the
     wire is distinguishable.
@@ -260,13 +272,29 @@ class InvocationScope:
 
 
 class _ActiveSpan:
-    """A started span plus its place on the thread's span stack."""
+    """A started span: one link of an engine's immutable active chain.
 
-    __slots__ = ("span", "sampled")
+    ``parent`` (the next span outward) and ``root`` (the outermost one)
+    are fixed when the span starts, so a chain a task or thread sees
+    never changes under it: pushing a span makes a new chain head.
+    """
 
-    def __init__(self, span: Span, sampled: bool):
+    __slots__ = ("span", "sampled", "wire", "parent", "root", "children",
+                 "reply_status")
+
+    def __init__(self, span: Span, sampled: bool, wire: bool,
+                 parent: Optional["_ActiveSpan"]):
         self.span = span
         self.sampled = sampled
+        #: whether this span's context rides the wire on a Request
+        self.wire = wire
+        self.parent = parent
+        self.root = parent.root if parent is not None else self
+        #: finished descendants, delivered here by :meth:`SpanEngine
+        #: .finish` of the nested spans (only roots accumulate them)
+        self.children: List[Span] = []
+        #: the GIOP reply status of a client attempt that got a reply
+        self.reply_status: Optional[str] = None
 
     @property
     def context(self) -> TraceContext:
@@ -274,73 +302,116 @@ class _ActiveSpan:
                             span_id=self.span.span_id,
                             sampled=self.sampled)
 
-    def set_request_id(self, request_id: int) -> None:
-        self.span.request_id = request_id
 
-    def record_status(self, status: Optional[str]) -> None:
-        self.span.status = status
+class SpanEngine(EventSink):
+    """One span per client attempt or server request, two retentions.
 
+    The proxy and dispatcher drive the lifecycle explicitly
+    (:meth:`begin_invocation` / :meth:`start_client_span` /
+    :meth:`start_server_span` / :meth:`finish`).  Stage events reaching
+    :meth:`emit` are appended to the innermost active span of the
+    emitting context: the active chain lives in a
+    :class:`contextvars.ContextVar`, so each thread *and* each asyncio
+    task has its own, and an executor hop run under
+    ``contextvars.copy_context().run`` reports into its caller's span.
 
-class DistributedTracer(EventSink):
-    """Produces spans; attributes stage events to the active span.
+    A finished span is kept by up to two retention policies:
 
-    Wired as (part of) an ORB's event sink.  The proxy and dispatcher
-    drive the span lifecycle explicitly (:meth:`begin_invocation` /
-    :meth:`start_client_span` / :meth:`start_server_span` /
-    :meth:`finish`); stage events emitted by the connection layer while
-    a span is active on the same thread are appended to the innermost
-    one — which is exactly the span whose invocation produced them,
-    because dispatch and nested calls share the upcall's thread.
+    * the **ring** (``keep > 0``): a bounded ring of root span headers
+      plus full span trees of the roots that took at least
+      ``slow_threshold`` seconds — the flight recorder;
+    * the **collector** (after :meth:`trace_to`): every sampled span,
+      with full stages, in a :class:`SpanCollector`.  Client spans then
+      propagate their context on the wire, ids come from a seeded RNG
+      (W3C-sized and nonzero) and roots make the ``sample_rate``
+      decision — distributed tracing.
+
+    Finished client spans are also handed to every ``listeners``
+    callable as ``fn(span, reply_status)`` — the source of
+    ``tracer.last`` and the per-invocation metrics.
     """
 
-    def __init__(self, node: str = "", registry=None,
-                 collector: Optional[SpanCollector] = None,
+    #: the ring alone never asks the connection layer to split the
+    #: control/deposit gather-write, so the always-on recorder leaves
+    #: the zero-copy send path's wire geometry (syscall count,
+    #: fault-injection timing) untouched; tracing sets it per instance
+    wire_stages = False
+
+    def __init__(self, node: str = "",
                  clock: Callable[[], float] = time.perf_counter,
-                 sample_rate: float = 1.0, seed: Optional[int] = None,
-                 keep: int = 2048):
+                 keep: int = 0, slow_keep: int = 32,
+                 slow_threshold: float = DEFAULT_SLOW_THRESHOLD):
         super().__init__(clock=clock)
+        if slow_threshold < 0:
+            raise ValueError(
+                f"slow_threshold must be >= 0: {slow_threshold}")
         self.node = node
-        self.registry = registry
-        self.collector = collector if collector is not None \
-            else SpanCollector(keep=keep)
+        self.enabled = True
+        self.slow_threshold = slow_threshold
+        self._chain: ContextVar[Optional[_ActiveSpan]] = ContextVar(
+            "repro_span_chain", default=None)
+        self._ids = itertools.count(1)  # .__next__ is atomic under the GIL
+        self._rng: Optional[random.Random] = None
+        self._lock = threading.Lock()
+        self._ring: Optional[Deque[Span]] = \
+            deque(maxlen=keep) if keep > 0 else None
+        self._slow: Deque[List[Span]] = deque(maxlen=slow_keep)
+        self.collector: Optional[SpanCollector] = None
+        self.registry = None
+        self.sample_rate = 1.0
+        self.listeners: List[Callable[[Span, Optional[str]], None]] = []
+        #: ring counters (lifetime; read by the telemetry sampler)
+        self.recorded_total = 0
+        self.slow_sampled = 0
+        self.detail_dropped = 0
+
+    def trace_to(self, collector: SpanCollector, registry=None,
+                 sample_rate: float = 1.0,
+                 seed: Optional[int] = None) -> None:
+        """Turn on the collector retention and wire propagation."""
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1]: {sample_rate}")
+        self.collector = collector
+        self.registry = registry
         self.sample_rate = sample_rate
         self._rng = random.Random(seed)
-        self._tls = threading.local()
+        self.wire_stages = True
 
-    # -- id generation -------------------------------------------------------
-    def new_trace_id(self) -> str:
+    # -- switches ------------------------------------------------------------
+    def enable(self) -> None:
+        self.enabled = True
+
+    def disable(self) -> None:
+        """Stop producing spans (the proxy and dispatcher check
+        :attr:`enabled`); events to still-open spans are dropped."""
+        self.enabled = False
+
+    # -- ids and sampling ----------------------------------------------------
+    def _id_bits(self, nbits: int) -> int:
+        if self._rng is None:
+            return next(self._ids)  # sequential: no RNG draw per span
         while True:
-            bits = self._rng.getrandbits(128)
+            bits = self._rng.getrandbits(nbits)
             if bits:  # the all-zero id is invalid (W3C)
-                return f"{bits:032x}"
+                return bits
+
+    def new_trace_id(self) -> str:
+        return f"{self._id_bits(128):032x}"
 
     def new_span_id(self) -> str:
-        while True:
-            bits = self._rng.getrandbits(64)
-            if bits:
-                return f"{bits:016x}"
+        return f"{self._id_bits(64):016x}"
 
-    # -- thread-local state --------------------------------------------------
-    def _stack(self) -> List[_ActiveSpan]:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
-    def current_context(self) -> Optional[TraceContext]:
-        """The innermost active span's context on this thread."""
-        stack = self._stack()
-        return stack[-1].context if stack else None
-
-    # -- sampling ------------------------------------------------------------
     def _sample(self) -> bool:
         if self.sample_rate >= 1.0:
             return True
         if self.sample_rate <= 0.0:
             return False
         return self._rng.random() < self.sample_rate
+
+    def current_context(self) -> Optional[TraceContext]:
+        """The innermost active span's context in this context."""
+        top = self._chain.get()
+        return top.context if top is not None else None
 
     # -- span lifecycle ------------------------------------------------------
     def begin_invocation(self) -> InvocationScope:
@@ -350,66 +421,103 @@ class DistributedTracer(EventSink):
         that span's trace; at top level it roots a new trace and makes
         the sampling decision.
         """
-        ctx = self.current_context()
-        if ctx is not None:
-            return InvocationScope(trace_id=ctx.trace_id,
-                                   parent_id=ctx.span_id,
-                                   sampled=ctx.sampled)
+        top = self._chain.get()
+        if top is not None:
+            return InvocationScope(trace_id=top.span.trace_id,
+                                   parent_id=top.span.span_id,
+                                   sampled=top.sampled)
         return InvocationScope(trace_id=self.new_trace_id(),
                                parent_id=None, sampled=self._sample())
 
     def start_client_span(self, name: str,
                           scope: InvocationScope) -> _ActiveSpan:
-        span = Span(trace_id=scope.trace_id, span_id=self.new_span_id(),
-                    parent_id=scope.parent_id, name=name, kind="client",
-                    node=self.node, start_s=self.clock())
-        active = _ActiveSpan(span, sampled=scope.sampled)
-        self._stack().append(active)
-        return active
+        return self._push(scope.trace_id, scope.parent_id, scope.sampled,
+                          name, "client", None)
 
-    def start_server_span(self, name: str, ctx: Optional[TraceContext],
+    def start_server_span(self, name: str,
+                          ctx: Optional[TraceContext] = None,
                           request_id: Optional[int] = None) -> _ActiveSpan:
         """Open the server-side span of an incoming request.
 
-        With an incoming context the span joins its trace (honouring
-        the sampled flag); without one — a non-tracing client — the
-        request roots a new trace here.
+        It joins the incoming context (honouring its sampled flag);
+        without one it parents under the span active here — a
+        same-ORB client span on a synchronous transport — or roots a
+        new trace.
         """
         if ctx is not None:
-            trace_id, parent_id, sampled = \
-                ctx.trace_id, ctx.span_id, ctx.sampled
-        else:
-            trace_id, parent_id, sampled = \
-                self.new_trace_id(), None, self._sample()
+            return self._push(ctx.trace_id, ctx.span_id, ctx.sampled, name,
+                              "server", request_id)
+        top = self._chain.get()
+        if top is not None:
+            return self._push(top.span.trace_id, top.span.span_id,
+                              top.sampled, name, "server", request_id)
+        return self._push(self.new_trace_id(), None, self._sample(), name,
+                          "server", request_id)
+
+    def _push(self, trace_id: str, parent_id: Optional[str], sampled: bool,
+              name: str, kind: str,
+              request_id: Optional[int]) -> _ActiveSpan:
         span = Span(trace_id=trace_id, span_id=self.new_span_id(),
-                    parent_id=parent_id, name=name, kind="server",
+                    parent_id=parent_id, name=name, kind=kind,
                     node=self.node, start_s=self.clock(),
                     request_id=request_id)
-        active = _ActiveSpan(span, sampled=sampled)
-        self._stack().append(active)
+        active = _ActiveSpan(span, sampled, self.collector is not None,
+                             self._chain.get())
+        self._chain.set(active)
         return active
 
     def finish(self, active: _ActiveSpan,
                status: Optional[str] = None) -> Optional[Span]:
-        """Close ``active``; record it if its trace is sampled.
+        """Close ``active`` and hand it to the retention policies.
 
-        Returns the finished span (None when unsampled).  Finishing is
-        tolerant of a corrupted stack (an exception that skipped inner
-        finishes): everything above ``active`` is discarded.
+        Everything above ``active`` in this context's chain is dropped
+        too (an exception that skipped inner finishes).  Returns the
+        span, or None when no policy kept it (an unsampled span with
+        no ring).  A nested span rides with its root; a finished root
+        enters the ring — with full stage detail when it crossed the
+        slow threshold (its whole subtree then also enters the slow
+        ring), as a header otherwise.
         """
-        stack = self._stack()
-        while stack:
-            top = stack.pop()
-            if top is active:
-                break
+        top = self._chain.get()
+        while top is not None and top is not active:
+            top = top.parent
+        if top is not None:
+            self._chain.set(active.parent)
         span = active.span
         span.end_s = self.clock()
         if status is not None:
             span.status = status
-        if not active.sampled:
-            return None
-        self.collector.add(span)
-        self._record_metrics(span)
+        if span.kind == "client":
+            for fn in self.listeners:
+                fn(span, active.reply_status)
+        collected = self.collector is not None and active.sampled
+        if collected:
+            self.collector.add(span)
+            self._record_metrics(span)
+        if self._ring is None:
+            return span if collected else None
+        if active.parent is not None:
+            active.root.children.append(span)
+            return span
+        members = active.children + [span]
+        slow = span.duration_s >= self.slow_threshold
+        header = span
+        if not slow:
+            # fast call: keep the header, drop the per-stage detail —
+            # this is what keeps the default-on ring cheap.  A span the
+            # collector also holds keeps its stages there.
+            if collected:
+                header = replace(span, stages=[])
+            else:
+                span.stages = []
+        with self._lock:
+            self.recorded_total += 1
+            if slow:
+                self.slow_sampled += 1
+                self._slow.append(members)
+            else:
+                self.detail_dropped += 1
+            self._ring.append(header)
         return span
 
     def _record_metrics(self, span: Span) -> None:
@@ -429,11 +537,73 @@ class DistributedTracer(EventSink):
 
     # -- sink interface ------------------------------------------------------
     def emit(self, event) -> None:
-        if not isinstance(event, StageEvent):
+        if not self.enabled or not isinstance(event, StageEvent):
             return
-        stack = self._stack()
-        if stack:
-            stack[-1].span.stages.append(event)
+        top = self._chain.get()
+        if top is not None:
+            top.span.stages.append(event)
+
+    # -- ring readers --------------------------------------------------------
+    def recent(self, n: int = 0) -> List[Span]:
+        """The last ``n`` recorded root spans, oldest first (0 = all)."""
+        with self._lock:
+            spans = list(self._ring or ())
+        return spans[-n:] if n > 0 else spans
+
+    def slow_trees(self, n: int = 0) -> List[List[Span]]:
+        """The last ``n`` slow-call span trees, oldest first (0 = all)."""
+        with self._lock:
+            trees = [list(t) for t in self._slow]
+        return trees[-n:] if n > 0 else trees
+
+    def spans(self, n: int = 0) -> List[Span]:
+        """Slow-tree members plus recent roots, deduplicated by span
+        id, oldest first — the ``/spans`` and ``recent_spans(n)``
+        payload (``n`` bounds the *root* count, 0 = all)."""
+        roots = self.recent(n)
+        trees = self.slow_trees()
+        keep_traces = {s.trace_id for s in roots}
+        seen = {s.span_id for s in roots}
+        out: List[Span] = []
+        for tree in trees:
+            for span in tree:
+                if span.trace_id in keep_traces and span.span_id not in seen:
+                    seen.add(span.span_id)
+                    out.append(span)
+        out.extend(roots)
+        out.sort(key=lambda s: s.start_s)
+        return out
+
+    def counters(self) -> dict:
+        """Lifetime ring counters + ring occupancy (for the sampler)."""
+        with self._lock:
+            return {
+                "recorded_total": self.recorded_total,
+                "slow_sampled": self.slow_sampled,
+                "detail_dropped": self.detail_dropped,
+                "ring_spans": len(self._ring or ()),
+                "slow_trees": len(self._slow),
+            }
+
+    def clear(self) -> None:
+        with self._lock:
+            if self._ring is not None:
+                self._ring.clear()
+            self._slow.clear()
+
+
+class DistributedTracer(SpanEngine):
+    """A span engine with the collector retention only (no ring)."""
+
+    def __init__(self, node: str = "", registry=None,
+                 collector: Optional[SpanCollector] = None,
+                 clock: Callable[[], float] = time.perf_counter,
+                 sample_rate: float = 1.0, seed: Optional[int] = None,
+                 keep: int = 2048):
+        super().__init__(node=node, clock=clock)
+        self.trace_to(collector if collector is not None
+                      else SpanCollector(keep=keep),
+                      registry=registry, sample_rate=sample_rate, seed=seed)
 
 
 # ---------------------------------------------------------------------------

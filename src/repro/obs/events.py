@@ -16,9 +16,9 @@ structure:
 
 An :class:`EventSink` receives all three.  Sinks compose
 (:class:`CompositeSink`), record (:class:`RecordingSink`), adapt the
-legacy callback (:class:`CallbackSink`), or aggregate into metrics
-(:class:`repro.obs.stages.StageTimer`,
-:class:`repro.obs.tracing.WireTracer`).  The clock is injectable so
+legacy callback (:class:`CallbackSink`), attribute stages to spans
+(:class:`repro.obs.dtrace.SpanEngine`) or log the wire
+(:class:`repro.obs.tracing.WireTracer`).  The clock is injectable so
 tests never depend on wall time.
 
 This module imports nothing from the ORB layers — it sits below them,

@@ -1,4 +1,4 @@
-"""The paper's invocation stages and the per-call StageTimer.
+"""The paper's invocation stages and the per-call breakdown record.
 
 §5.2 / Fig. 7 split one CORBA invocation into the costs of the control
 path and the data path.  The live ORB reports the same six stages, in
@@ -33,26 +33,25 @@ The server side uses the same vocabulary where it applies
 (``recv-wait`` instead of ``server-wait`` — a server waits for clients,
 not for a server).
 
-:class:`StageTimer` is the sink that groups the stage events of one
-invocation into an :class:`InvocationBreakdown` — the live counterpart
-of the offline model in ``benchmarks/test_overhead_breakdown.py``.
+:class:`InvocationBreakdown` is the stage record of one client attempt
+— the live counterpart of the offline model in
+``benchmarks/test_overhead_breakdown.py``.  The span engine
+(:mod:`repro.obs.dtrace`) groups the stage events per attempt; the
+tracing interceptor turns each finished client span into a breakdown.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .events import EventSink, StageEvent
+from .events import StageEvent
 
 __all__ = [
     "STAGE_MARSHAL", "STAGE_CONTROL_SEND", "STAGE_DEPOSIT_SEND",
     "STAGE_SERVER_WAIT", "STAGE_DEPOSIT_RECV", "STAGE_DEMARSHAL",
     "STAGE_RECV_WAIT", "CLIENT_STAGES",
-    "InvocationBreakdown", "StageTimer",
+    "InvocationBreakdown",
 ]
 
 STAGE_MARSHAL = "marshal"
@@ -117,70 +116,3 @@ class InvocationBreakdown:
                 for e in self.stages
             ],
         }
-
-
-class StageTimer(EventSink):
-    """Groups stage events into per-invocation breakdowns.
-
-    The client proxy serializes invocations per connection, so one
-    timer per ORB sees a clean begin → stages → commit sequence; a
-    lock still guards the pending list for the threaded-server case.
-    Stage events arriving outside an invocation (e.g. server-side
-    ``recv-wait``) accumulate in :attr:`loose` and never pollute the
-    per-call records.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 keep: int = 128):
-        super().__init__(clock=clock)
-        self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
-        self.loose: Deque[StageEvent] = deque(maxlen=keep)
-        self._pending: Optional[InvocationBreakdown] = None
-        self._lock = threading.Lock()
-
-    # -- sink interface ------------------------------------------------------
-    def emit(self, event) -> None:
-        if not isinstance(event, StageEvent):
-            return
-        with self._lock:
-            if self._pending is not None:
-                self._pending.stages.append(event)
-            else:
-                self.loose.append(event)
-
-    # -- invocation grouping -------------------------------------------------
-    def begin(self, operation: str) -> None:
-        """Open a record; subsequent stage events belong to it."""
-        with self._lock:
-            self._pending = InvocationBreakdown(operation=operation)
-
-    def commit(self, request_id: int = 0,
-               reply_status: Optional[str] = None
-               ) -> Optional[InvocationBreakdown]:
-        """Close the open record and archive it (None if none open)."""
-        with self._lock:
-            rec = self._pending
-            self._pending = None
-            if rec is None:
-                return None
-            rec.request_id = request_id
-            rec.reply_status = reply_status
-            self.records.append(rec)
-            return rec
-
-    def abandon(self) -> None:
-        """Drop the open record (failed attempt about to be retried)."""
-        with self._lock:
-            self._pending = None
-
-    @property
-    def last(self) -> Optional[InvocationBreakdown]:
-        with self._lock:
-            return self.records[-1] if self.records else None
-
-    def take_loose(self) -> List[StageEvent]:
-        """Drain the out-of-invocation stage events."""
-        with self._lock:
-            out = list(self.loose)
-            self.loose.clear()
-            return out

@@ -2,15 +2,16 @@
 
 Two consumers of the structured event stream:
 
-* :class:`TracingInterceptor` rides the existing
-  :class:`repro.orb.interceptors.InterceptorRegistry`.  On the client
-  side it brackets each invocation (``send_request`` opens a
-  :class:`~repro.obs.stages.StageTimer` record, ``receive_reply``
-  commits it) and folds the result into a
-  :class:`~repro.obs.metrics.MetricsRegistry`; on the server side it
-  counts and times servant upcalls.  Install with
-  ``orb.enable_tracing()`` (which also wires the timer in as the ORB's
-  event sink) or register it manually and assign ``orb.sink``.
+* :class:`TracingInterceptor` turns every finished client span of the
+  ORB's span engine (:mod:`repro.obs.dtrace`) that got a reply into an
+  :class:`~repro.obs.stages.InvocationBreakdown` and folds it into a
+  :class:`~repro.obs.metrics.MetricsRegistry`.  Each span holds exactly
+  its own attempt's stages, so concurrent sync and async calls never
+  mix their breakdowns.  As an interceptor on the
+  :class:`repro.orb.interceptors.InterceptorRegistry` it also counts
+  and times servant upcalls on the server side.  Install with
+  ``orb.enable_tracing()``, which registers it and subscribes
+  :meth:`TracingInterceptor.record_span` to the engine.
 
 * :class:`WireTracer` logs every GIOP message the connection layer
   reports — type, request id, control size, fragment count and deposit
@@ -28,7 +29,7 @@ from typing import Callable, Deque, List, Optional
 from ..orb.interceptors import RequestInfo, RequestInterceptor
 from .events import EventSink, WireEvent
 from .metrics import (DEFAULT_SIZE_BUCKETS, MetricsRegistry)
-from .stages import InvocationBreakdown, StageTimer
+from .stages import InvocationBreakdown
 
 __all__ = ["TracingInterceptor", "WireTracer", "format_wire_event"]
 
@@ -38,9 +39,9 @@ _SLOT_T0 = "obs.server_t0"
 class TracingInterceptor(RequestInterceptor):
     """Per-request stage breakdown + metrics, as an interceptor.
 
-    Owns a :attr:`timer` (the :class:`StageTimer` the ORB layers feed
-    stage events into) and a :attr:`registry` (shared or private).
-    All durations are measured with the injected ``clock``.
+    Keeps the last ``keep`` breakdowns in :attr:`records` and a
+    :attr:`registry` (shared or private).  Server durations are
+    measured with the injected ``clock``.
     """
 
     name = "tracing"
@@ -51,21 +52,25 @@ class TracingInterceptor(RequestInterceptor):
         self.clock = clock
         self.registry = registry if registry is not None \
             else MetricsRegistry(clock=clock)
-        self.timer = StageTimer(clock=clock, keep=keep)
+        self.records: Deque[InvocationBreakdown] = deque(maxlen=keep)
         #: optionally attached by ORB.enable_tracing(wire=True)
         self.wire: Optional["WireTracer"] = None
         #: SpanCollector, attached by ORB.enable_tracing(distributed=True)
         self.spans = None
 
     # -- client side ---------------------------------------------------------
-    def send_request(self, info: RequestInfo) -> None:
-        self.timer.begin(info.operation)
-
-    def receive_reply(self, info: RequestInfo) -> None:
-        rec = self.timer.commit(request_id=info.request_id,
-                                reply_status=info.reply_status)
-        if rec is not None:
-            self._record(rec)
+    def record_span(self, span, reply_status: Optional[str]) -> None:
+        """Span-engine listener: one finished client attempt.  An
+        attempt that failed before its reply arrived is not an
+        invocation and is skipped."""
+        if reply_status is None:
+            return
+        rec = InvocationBreakdown(operation=span.name,
+                                  request_id=span.request_id or 0,
+                                  stages=list(span.stages),
+                                  reply_status=reply_status)
+        self.records.append(rec)
+        self._record(rec)
 
     def _record(self, rec: InvocationBreakdown) -> None:
         reg = self.registry
@@ -105,8 +110,8 @@ class TracingInterceptor(RequestInterceptor):
     # -- convenience ---------------------------------------------------------
     @property
     def last(self) -> Optional[InvocationBreakdown]:
-        """The most recent committed invocation breakdown."""
-        return self.timer.last
+        """The most recent invocation breakdown."""
+        return self.records[-1] if self.records else None
 
 
 def format_wire_event(ev: WireEvent) -> str:

@@ -87,32 +87,24 @@ class MethodDispatcher:
                                request_id=req.request_id,
                                response_expected=req.response_expected)
             chain.run("receive_request", info)
-        tracer = getattr(conn.orb, "dtracer", None) if conn.orb else None
+        engine = getattr(conn.orb, "span_engine", None) if conn.orb \
+            else None
         active = None
-        if tracer is not None:
+        if engine is not None and engine.enabled:
             # join the incoming trace (or root a new one); the span stays
-            # on this thread's stack through the upcall, so the servant's
-            # nested outbound calls parent under it
-            active = tracer.start_server_span(
+            # active in this context through the upcall, so the
+            # servant's nested outbound calls parent under it
+            active = engine.start_server_span(
                 req.operation, extract_trace_context(req.service_contexts),
                 request_id=req.request_id)
-        rec = getattr(conn.orb, "flightrec", None) if conn.orb else None
-        if rec is not None and not rec.enabled:
-            rec = None
-        r_active = rec.start_server_span(
-            req.operation, request_id=req.request_id) \
-            if rec is not None else None
         try:
-            self._dispatch_once(conn, rm, req, chain, info,
-                                (active, r_active))
+            self._dispatch_once(conn, rm, req, chain, info, active)
         finally:
-            if r_active is not None:
-                rec.finish(r_active)
             if active is not None:
-                tracer.finish(active)
+                engine.finish(active)
 
     def _dispatch_once(self, conn: GIOPConn, rm: ReceivedMessage,
-                       req: RequestHeader, chain, info, actives) -> None:
+                       req: RequestHeader, chain, info, active) -> None:
         echo = _echo_contexts(req)
         try:
             servant = self.poa.find_servant(req.object_key)
@@ -138,17 +130,17 @@ class MethodDispatcher:
                     f"{req.operation!r}"))
             value = method(*args)
         except UserException as exc:
-            self._notify_reply(chain, info, actives, "USER_EXCEPTION")
+            self._notify_reply(chain, info, active, "USER_EXCEPTION")
             self._reply_user_exception(conn, req, exc, echo=echo)
             return
         except SystemException as exc:
             self.errors += 1
-            self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
+            self._notify_reply(chain, info, active, "SYSTEM_EXCEPTION")
             self._reply_system_exception(conn, req, exc, echo=echo)
             return
         except Exception as exc:  # servant bug -> CORBA::UNKNOWN
             self.errors += 1
-            self._notify_reply(chain, info, actives, "SYSTEM_EXCEPTION")
+            self._notify_reply(chain, info, active, "SYSTEM_EXCEPTION")
             self._reply_system_exception(
                 conn, req,
                 UNKNOWN(completed=CompletionStatus.COMPLETED_MAYBE,
@@ -156,7 +148,7 @@ class MethodDispatcher:
                 echo=echo)
             return
 
-        self._notify_reply(chain, info, actives, "NO_EXCEPTION")
+        self._notify_reply(chain, info, active, "NO_EXCEPTION")
         if not req.response_expected:
             return
         try:
@@ -175,10 +167,9 @@ class MethodDispatcher:
             self._reply_system_exception(conn, req, exc, echo=echo)
 
     @staticmethod
-    def _notify_reply(chain, info, actives, status: str) -> None:
-        for active in actives:
-            if active is not None:
-                active.record_status(status)
+    def _notify_reply(chain, info, active, status: str) -> None:
+        if active is not None:
+            active.span.status = status
         if chain is not None and info is not None:
             info.reply_status = status
             chain.run("send_reply", info)

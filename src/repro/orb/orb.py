@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Type
 
 from ..core.buffers import BufferPool, default_pool
 from ..giop import IOR, IIOPProfile
+from ..obs.dtrace import SpanCollector, SpanEngine
 from ..obs.events import CompositeSink
 from ..obs.flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
 from ..transport.base import Endpoint, TransportRegistry
@@ -108,13 +109,21 @@ class ORB:
         self.transports = transports or default_registry()
         self.pool = pool or default_pool()
         self.on_bytes = on_bytes
-        #: always-on flight recorder; None when disabled by config.
-        #: Joins the sink chain below, so stage events reach it from
-        #: day one without enable_tracing.
+        self.orb_id = next(_orb_ids)
+        #: the span engine (repro.obs.dtrace.SpanEngine): one span per
+        #: client attempt and per served request, sync or async.  The
+        #: proxy and dispatcher drive it; :meth:`enable_tracing` adds
+        #: its collector retention.  None until something needs spans.
+        self.span_engine: Optional[SpanEngine] = None
+        #: the span engine when its always-on ring retention is on (the
+        #: flight recorder); None when disabled by config.  It joins the
+        #: sink chain below, so stage events reach it from day one
+        #: without enable_tracing.
         self.flightrec: Optional[FlightRecorder] = None
         if self.config.flight_recorder:
-            self.flightrec = FlightRecorder(
-                slow_threshold=self.config.slow_call_threshold)
+            self.flightrec = self.span_engine = FlightRecorder(
+                slow_threshold=self.config.slow_call_threshold,
+                node=f"orb{self.orb_id}")
         #: structured event sink (repro.obs.EventSink): stage spans,
         #: wire events and byte events from every connection this ORB
         #: creates.  Assign (or call :meth:`enable_tracing`) before the
@@ -127,17 +136,10 @@ class ORB:
         #: per-proxy or per-call policy overrides it.  None = one
         #: attempt, no deadline.
         self.policy = policy
-        self.orb_id = next(_orb_ids)
-        if self.flightrec is not None:
-            self.flightrec.node = f"orb{self.orb_id}"
         self._started = time.monotonic()
         #: telemetry endpoint (repro.obs.httpexport.TelemetryServer);
         #: installed by :meth:`enable_telemetry`, closed on shutdown
         self.telemetry = None
-        #: distributed tracer (repro.obs.dtrace.DistributedTracer);
-        #: installed by ``enable_tracing(distributed=True)``.  The proxy
-        #: and dispatcher consult it to propagate trace contexts.
-        self.dtracer = None
         #: metrics registry (repro.obs.MetricsRegistry); installed by
         #: :meth:`enable_tracing`.  The server worker pool reports its
         #: in-flight gauge and queue-depth histogram here when present.
@@ -178,42 +180,47 @@ class ORB:
                        trace_seed: Optional[int] = None):
         """Install the built-in :class:`repro.obs.TracingInterceptor`.
 
-        Registers the interceptor, wires its stage timer in as this
-        ORB's event sink (composing with any sink already assigned)
-        and returns the tracer — ``tracer.last`` is the most recent
-        per-invocation stage breakdown, ``tracer.registry`` the metrics.
-        With ``wire=True`` a :class:`repro.obs.WireTracer` also logs
-        every GIOP message (``tracer.wire``).
+        Registers the interceptor, subscribes it to this ORB's span
+        engine (creating one when the flight recorder is off) and
+        returns the tracer — ``tracer.last`` is the stage breakdown of
+        the most recent client attempt that got a reply, sync or async,
+        ``tracer.registry`` the metrics.  Tracing makes the connection
+        layer time the control and deposit sends separately.  With
+        ``wire=True`` a :class:`repro.obs.WireTracer` also logs every
+        GIOP message (``tracer.wire``).
 
-        With ``distributed=True`` a
-        :class:`repro.obs.dtrace.DistributedTracer` joins the sink
-        chain: every Request this ORB sends carries a trace context in
-        its service contexts, incoming contexts open server spans, and
-        finished spans land in ``tracer.spans`` (a
-        :class:`~repro.obs.dtrace.SpanCollector` — pass ``collector=``
-        to share one across the ORBs of a process so cross-ORB traces
-        assemble in memory).  ``sample_rate`` decides per-trace at the
-        root; ``trace_seed`` makes id generation reproducible.
+        With ``distributed=True`` the span engine also retains its
+        spans in a :class:`~repro.obs.dtrace.SpanCollector`: every
+        Request this ORB sends carries a trace context in its service
+        contexts, incoming contexts parent server spans, and finished
+        spans land in ``tracer.spans`` — pass ``collector=`` to share
+        one across the ORBs of a process so cross-ORB traces assemble
+        in memory.  ``sample_rate`` decides per-trace at the root;
+        ``trace_seed`` makes id generation reproducible.
 
         Call before the first connection exists (like
         :attr:`on_bytes`); existing connections keep their old sink.
         """
-        from ..obs import CompositeSink, TracingInterceptor, WireTracer
+        from ..obs import TracingInterceptor, WireTracer
         tracer = TracingInterceptor(registry=registry, keep=keep)
         self.interceptors.register(tracer)
         self.metrics = tracer.registry
-        sinks = [tracer.timer]
+        sinks = []
         if wire:
             tracer.wire = WireTracer(keep=max(keep * 4, 256))
             sinks.append(tracer.wire)
+        engine = self.span_engine
+        if engine is None:
+            engine = self.span_engine = SpanEngine(node=f"orb{self.orb_id}")
+            sinks.append(engine)
+        engine.wire_stages = True
+        engine.listeners.append(tracer.record_span)
         if distributed:
-            from ..obs.dtrace import DistributedTracer
-            self.dtracer = DistributedTracer(
-                node=f"orb{self.orb_id}", registry=tracer.registry,
-                collector=collector, sample_rate=sample_rate,
-                seed=trace_seed)
-            tracer.spans = self.dtracer.collector
-            sinks.append(self.dtracer)
+            engine.trace_to(collector if collector is not None
+                            else SpanCollector(),
+                            registry=tracer.registry,
+                            sample_rate=sample_rate, seed=trace_seed)
+            tracer.spans = engine.collector
         if self.sink is not None:
             sinks.append(self.sink)
         self.sink = sinks[0] if len(sinks) == 1 else CompositeSink(sinks)
@@ -386,18 +393,10 @@ class ORB:
         ``policy`` (per-call) overrides the ORB-wide :attr:`policy`;
         collocated calls never retry — there is no wire to fail.
         """
-        servant = self.find_local_servant(ior) \
-            if self.config.collocated_calls else None
-        if servant is not None:
-            method = getattr(servant, sig.name, None)
-            if method is None:
-                raise OBJECT_NOT_EXIST(message=(
-                    f"local servant lacks operation {sig.name!r}"))
+        method, proxy, key = self._route(ior, sig)
+        if method is not None:
             return method(*args)
-        profile = self.select_profile(ior)
-        proxy = self._proxy_for(profile.endpoint)
-        return proxy.invoke(profile.object_key, sig, args,
-                            policy=policy or self.policy)
+        return proxy.invoke(key, sig, args, policy=policy or self.policy)
 
     async def invoke_async(self, ior: IOR, sig: OperationSignature,
                            args: Sequence[Any],
@@ -405,6 +404,16 @@ class ORB:
                            ) -> Any:
         """Coroutine twin of :meth:`invoke` — same routing (collocated
         bypass, profile selection, shared proxies), awaitable reply."""
+        method, proxy, key = self._route(ior, sig)
+        if method is not None:
+            return method(*args)
+        return await proxy.invoke_async(key, sig, args,
+                                        policy=policy or self.policy)
+
+    def _route(self, ior: IOR, sig: OperationSignature):
+        """``(servant method, None, None)`` for a collocated call (§2.1
+        bypass), else ``(None, proxy, object key)`` of the preferred
+        profile."""
         servant = self.find_local_servant(ior) \
             if self.config.collocated_calls else None
         if servant is not None:
@@ -412,11 +421,9 @@ class ORB:
             if method is None:
                 raise OBJECT_NOT_EXIST(message=(
                     f"local servant lacks operation {sig.name!r}"))
-            return method(*args)
+            return method, None, None
         profile = self.select_profile(ior)
-        proxy = self._proxy_for(profile.endpoint)
-        return await proxy.invoke_async(profile.object_key, sig, args,
-                                        policy=policy or self.policy)
+        return None, self._proxy_for(profile.endpoint), profile.object_key
 
     def locate(self, ref: ObjectStub) -> bool:
         """GIOP LocateRequest: is the referenced object reachable and

@@ -17,22 +17,33 @@ deposit payload was interrupted mid-stream, the retry falls back to the
 copy path so zero-copy never compromises delivery (§4.4's regime is an
 optimisation, not a correctness requirement).
 
+One engine, two drivers: the attempt and the retry loop around it are
+written once, as a sans-IO generator (:meth:`IIOPProxy._invocation`)
+that yields three kinds of step — send this attempt, await this reply
+future until this deadline, sleep before a retry.  :meth:`IIOPProxy.invoke`
+performs the steps blocking on the caller's thread;
+:meth:`IIOPProxy.invoke_async` performs them by awaiting, hopping the
+dial+marshal+send through an executor.  Every hook — interceptor
+points, the client span of the ORB's span engine, request-id stamping,
+trace-context injection, reply-stage re-emission — therefore runs once,
+identically, for sync and async calls.
+
 Concurrency model: invocations are **pipelined**.  GIOP matches replies
-to requests by ``request_id``, so any number of threads (and
-``AsyncInvoker`` workers) share this proxy's single connection with
-overlapped in-flight requests.  Each call registers a
-:class:`~repro.orb.demux.ReplyFuture` with the connection's
-:class:`~repro.orb.demux.ReplyDemux` before sending; only the socket
-write itself is serialized (``GIOPConn._send_lock`` keeps the
-control/deposit split atomic per message).  A deadline expiry abandons
-only its own future — the connection stays up and a late reply is
-dropped as stale — while a connection-fatal error fails every in-flight
-future with the appropriate CORBA system exception.
+to requests by ``request_id``, so any number of threads and tasks share
+this proxy's single connection with overlapped in-flight requests.
+Each call registers a :class:`~repro.orb.demux.ReplyFuture` with the
+connection's :class:`~repro.orb.demux.ReplyDemux` before sending; only
+the socket write itself is serialized (``GIOPConn._send_lock`` keeps
+the control/deposit split atomic per message).  A deadline expiry
+abandons only its own future — the connection stays up and a late
+reply is dropped as stale — while a connection-fatal error fails every
+in-flight future with the appropriate CORBA system exception.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import threading
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
@@ -66,14 +77,59 @@ def _abandon_sent(send_fut) -> None:
         demux.abandon(future)
 
 
+async def _wait_reply(loop, future: ReplyFuture,
+                      timeout: Optional[float]) -> bool:
+    """Await ``future`` without a thread: the demux (reader thread or
+    reactor) completes it and a done-callback wakes this task via
+    ``call_soon_threadsafe``.  False when ``timeout`` expired first."""
+    afut = loop.create_future()
+
+    def _wake(_fut) -> None:
+        def _set() -> None:
+            if not afut.done():
+                afut.set_result(None)
+        try:
+            loop.call_soon_threadsafe(_set)
+        except RuntimeError:
+            pass  # caller's loop already closed; nobody is waiting
+
+    future.add_done_callback(_wake)
+    try:
+        await asyncio.wait_for(afut, timeout)
+    except asyncio.TimeoutError:
+        return False
+    return True
+
+
+#: the steps the invocation engine yields to its driver:
+#: ``(_SEND, attempt)`` — dial, marshal, register and send the attempt;
+#: the driver sends back ``(conn, demux, future)``.
+#: ``(_AWAIT, future, timeout)`` — wait for the reply future; the driver
+#: sends back whether it completed in time.
+#: ``(_SLEEP, sleep, delay)`` — call the policy's sleep before a retry.
+_SEND, _AWAIT, _SLEEP = "send", "await", "sleep"
+
+
 class _Attempt:
-    """Per-attempt state.  One invoke() may run several attempts, and
-    several invokes run concurrently, so this cannot live on the proxy."""
+    """Per-attempt state.  One invocation may run several attempts, and
+    several invocations run concurrently, so this cannot live on the
+    proxy."""
 
-    __slots__ = ("had_deposits", "abandoned")
+    __slots__ = ("object_key", "sig", "args", "force_copy", "active",
+                 "info", "had_deposits", "abandoned")
 
-    def __init__(self):
+    def __init__(self, object_key: bytes, sig: OperationSignature,
+                 args: Sequence[Any], force_copy: bool):
+        self.object_key = object_key
+        self.sig = sig
+        self.args = args
+        self.force_copy = force_copy
+        #: the attempt's client span, when the ORB has a span engine
+        self.active = None
+        #: the interceptors' RequestInfo, when any are registered
+        self.info = None
         self.had_deposits = False
+        #: set when an async caller was cancelled during the send hop
         self.abandoned = False
 
 
@@ -187,49 +243,121 @@ class IIOPProxy:
         elif conn is not None:
             conn.close()
 
-    def _interceptors(self):
-        orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
-        return getattr(orb, "interceptors", None) if orb else None
+    def _owner(self):
+        """The owning ORB (for span engine and interceptors) — without
+        dialing; falls back to the live connection's ORB."""
+        if self._orb is not None:
+            return self._orb
+        return self._conn.orb if self._conn is not None else None
 
-    def _dtracer(self):
-        """The ORB's DistributedTracer, if any — without dialing."""
-        orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
-        return getattr(orb, "dtracer", None) if orb is not None else None
-
-    def _flightrec(self):
-        """The ORB's always-on FlightRecorder, if live — no dialing."""
-        orb = self._orb
-        if orb is None and self._conn is not None:
-            orb = self._conn.orb
-        rec = getattr(orb, "flightrec", None) if orb is not None else None
-        return rec if rec is not None and rec.enabled else None
-
-    # -- invocation ----------------------------------------------------------
+    # -- invocation: the drivers ---------------------------------------------
     def invoke(self, object_key: bytes, sig: OperationSignature,
                args: Sequence[Any],
                policy: Optional[InvocationPolicy] = None) -> Any:
-        """One static invocation under the effective policy: marshal,
-        send, await reply, demarshal — with deadline, retry budget and
-        deposit fallback applied around the attempt.  Any number of
-        threads may invoke through one proxy concurrently; their
-        requests pipeline on the shared connection."""
+        """One static invocation, blocking: drives :meth:`_invocation`
+        on the calling thread.  Any number of threads may invoke
+        through one proxy concurrently; their requests pipeline on the
+        shared connection."""
+        steps = self._invocation(object_key, sig, args, policy)
+        value = exc = None
+        while True:
+            try:
+                step = steps.throw(exc) if exc is not None \
+                    else steps.send(value)
+            except StopIteration as stop:
+                return stop.value
+            exc = None
+            try:
+                if step[0] is _SEND:
+                    value = self._send_attempt(step[1])
+                elif step[0] is _AWAIT:
+                    value = step[1].wait(step[2])
+                else:
+                    value = step[1](step[2])
+            except BaseException as e:
+                # thrown into the engine, which handles or re-raises it
+                value, exc = None, e
+
+    async def invoke_async(self, object_key: bytes, sig: OperationSignature,
+                           args: Sequence[Any],
+                           policy: Optional[InvocationPolicy] = None) -> Any:
+        """Coroutine twin of :meth:`invoke`: the same engine — deadline,
+        retry budget, deposit fallback, interceptors, spans — driven by
+        awaiting, so thousands of calls can be in flight on one task
+        with no thread per call.
+
+        Runs on *any* running event loop (the caller's ``asyncio.run``
+        loop or a reactor shard).  The blocking pieces — the dial and
+        the marshal+send, an injectable ``policy.sleep`` — hop through
+        the loop's default executor so the loop itself never blocks.
+        The send hop runs in a copy of the task's context, so its
+        stage events land in the task's own client span.
+        """
+        loop = asyncio.get_running_loop()
+        steps = self._invocation(object_key, sig, args, policy)
+        value = exc = None
+        while True:
+            try:
+                step = steps.throw(exc) if exc is not None \
+                    else steps.send(value)
+            except StopIteration as stop:
+                return stop.value
+            exc = None
+            try:
+                if step[0] is _SEND:
+                    value = await self._send_hop(loop, step[1])
+                elif step[0] is _AWAIT:
+                    value = await _wait_reply(loop, step[1], step[2])
+                else:
+                    # the policy's sleep is injectable (tests replace
+                    # it); honor the injection without stalling the loop
+                    value = await loop.run_in_executor(None, step[1],
+                                                       step[2])
+            except BaseException as e:
+                # thrown into the engine, which handles or re-raises it
+                # (a CancelledError always propagates back out)
+                value, exc = None, e
+
+    async def _send_hop(self, loop, state: _Attempt):
+        send_fut = loop.run_in_executor(
+            None, contextvars.copy_context().run, self._send_attempt, state)
+        try:
+            return await asyncio.shield(send_fut)
+        except asyncio.CancelledError:
+            # the executor send outlives the cancellation — it may
+            # already have registered (or even received) the reply.
+            # Mark the attempt abandoned so the executor thread cleans
+            # up after itself, and hook the wrapper future for the case
+            # where the send finished before the flag was visible;
+            # demux.abandon is idempotent, so both firing is fine.
+            state.abandoned = True
+            send_fut.add_done_callback(_abandon_sent)
+            raise
+
+    # -- invocation: the engine ----------------------------------------------
+    def _invocation(self, object_key: bytes, sig: OperationSignature,
+                    args: Sequence[Any],
+                    policy: Optional[InvocationPolicy]):
+        """The invocation engine, as a sans-IO generator: attempts
+        under the effective policy, with deadline, retry budget,
+        backoff and deposit fallback applied around them.  Yields the
+        ``_SEND`` / ``_AWAIT`` / ``_SLEEP`` steps for a driver to
+        perform and returns the call's result."""
         policy = policy or self.policy or NO_RETRY
         deadline = policy.start_deadline()
-        attempt = 0
-        force_copy = False
-        tracer = self._dtracer()
+        orb = self._owner()
+        engine = getattr(orb, "span_engine", None)
+        if engine is not None and not engine.enabled:
+            engine = None
+        chain = getattr(orb, "interceptors", None)
+        if chain is not None and not len(chain):
+            chain = None
         # the trace identity of this logical call is fixed here, before
         # the retry loop: every attempt below shares the trace id but
         # opens a fresh span, so retries are distinguishable on the wire
-        scope = tracer.begin_invocation() if tracer is not None else None
-        # the flight recorder mirrors the tracer's lifecycle but stays
-        # process-local: its spans never touch the wire
-        rec = self._flightrec()
-        rec_scope = rec.begin_invocation() if rec is not None else None
+        scope = engine.begin_invocation() if engine is not None else None
+        attempt = 0
+        force_copy = False
         while True:
             if deadline is not None and deadline.expired:
                 self._stats.timeouts += 1
@@ -237,11 +365,10 @@ class IIOPProxy:
                     completed=CompletionStatus.COMPLETED_NO,
                     message=(f"deadline of {policy.timeout}s expired "
                              f"before the request was sent"))
-            state = _Attempt()
+            state = _Attempt(object_key, sig, args, force_copy)
             try:
-                return self._invoke_once(object_key, sig, args,
-                                         deadline, force_copy, state,
-                                         scope=scope, rec_scope=rec_scope)
+                return (yield from self._attempt(state, deadline, engine,
+                                                 scope, chain))
             except (TRANSIENT, COMM_FAILURE) as exc:
                 if attempt >= policy.max_retries or \
                         not policy.retryable(exc, sig.idempotent):
@@ -266,114 +393,119 @@ class IIOPProxy:
                 if deadline is not None:
                     delay = min(delay, max(0.0, deadline.remaining))
                 if delay > 0:
-                    policy.sleep(delay)
+                    yield _SLEEP, policy.sleep, delay
                 attempt += 1
                 self._stats.retries += 1
 
-    # -- async invocation ----------------------------------------------------
-    async def invoke_async(self, object_key: bytes, sig: OperationSignature,
-                           args: Sequence[Any],
-                           policy: Optional[InvocationPolicy] = None) -> Any:
-        """Coroutine twin of :meth:`invoke`: the same deadline, retry
-        budget, and deposit-fallback semantics, but the reply wait is an
-        asyncio future — thousands of calls can be in flight on one
-        awaiting task with no thread per call.
-
-        Runs on *any* running event loop (the caller's ``asyncio.run``
-        loop or a reactor shard).  Blocking pieces — the dial, the
-        marshal+send, an injectable ``policy.sleep`` — hop through the
-        loop's default executor so the loop itself never blocks.
-        Interceptor chains and distributed-tracer spans are a sync-path
-        feature; the async path skips them (DESIGN.md §15).
-        """
-        policy = policy or self.policy or NO_RETRY
-        deadline = policy.start_deadline()
-        attempt = 0
-        force_copy = False
-        loop = asyncio.get_running_loop()
-        while True:
-            if deadline is not None and deadline.expired:
-                self._stats.timeouts += 1
-                raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_NO,
-                    message=(f"deadline of {policy.timeout}s expired "
-                             f"before the request was sent"))
-            state = _Attempt()
+    def _attempt(self, state: _Attempt, deadline: Optional[Deadline],
+                 engine, scope, chain):
+        """One attempt: its span, interceptor points, send, reply wait
+        and demarshal."""
+        self.calls += 1
+        sig = state.sig
+        active = state.active = engine.start_client_span(sig.name, scope) \
+            if engine is not None else None
+        try:
+            info = None
+            if chain is not None:
+                from .interceptors import RequestInfo
+                info = state.info = RequestInfo(
+                    operation=sig.name, object_key=state.object_key,
+                    response_expected=not sig.oneway)
+                chain.run("send_request", info)
+            conn, demux, future = yield _SEND, state
+            if future is None:  # oneway: the send is the whole call
+                return None
+            timeout = None if deadline is None \
+                else max(deadline.remaining, 1e-4)
             try:
-                return await self._invoke_once_async(
-                    loop, object_key, sig, args, deadline, force_copy,
-                    state)
-            except (TRANSIENT, COMM_FAILURE) as exc:
-                if attempt >= policy.max_retries or \
-                        not policy.retryable(exc, sig.idempotent):
-                    raise
-                if deadline is not None and deadline.expired:
+                done = yield _AWAIT, future, timeout
+            except BaseException:
+                # a cancelled caller must not leak: forget the pending
+                # registration, and release the reply's deposit buffers
+                # whether it landed already or lands later
+                demux.abandon(future)
+                raise
+            if not done:
+                demux.discard(future.request_id)
+                # re-check: the reply may have squeaked in between the
+                # wait expiring and the discard — a completed future is
+                # a reply, not a timeout (dropping it would leak its
+                # deposits)
+                if not future.done:
                     self._stats.timeouts += 1
                     raise TIMEOUT(
-                        completed=exc.completed,
-                        message=(f"deadline of {policy.timeout}s "
-                                 f"expired after "
-                                 f"{attempt + 1} attempt(s): "
-                                 f"{exc.message}")) from exc
-                if state.had_deposits and not force_copy:
-                    force_copy = True
-                    self._stats.deposit_fallbacks += 1
-                delay = policy.backoff(attempt)
-                if deadline is not None:
-                    delay = min(delay, max(0.0, deadline.remaining))
-                if delay > 0:
-                    # the policy's sleep is injectable (tests replace
-                    # it); honor the injection without stalling the loop
-                    await loop.run_in_executor(None, policy.sleep, delay)
-                attempt += 1
-                self._stats.retries += 1
-
-    async def _invoke_once_async(self, loop, object_key: bytes,
-                                 sig: OperationSignature,
-                                 args: Sequence[Any],
-                                 deadline: Optional[Deadline],
-                                 force_copy: bool, state: _Attempt) -> Any:
-        self.calls += 1
-        send_fut = loop.run_in_executor(
-            None, self._send_attempt_sync, object_key, sig, args,
-            force_copy, state)
-        try:
-            conn, demux, future = await asyncio.shield(send_fut)
-        except asyncio.CancelledError:
-            # the executor send outlives the cancellation — it may
-            # already have registered (or even received) the reply.
-            # Mark the attempt abandoned so the executor thread cleans
-            # up after itself, and hook the wrapper future for the case
-            # where the send finished before the flag was visible;
-            # demux.abandon is idempotent, so both firing is fine.
-            state.abandoned = True
-            send_fut.add_done_callback(_abandon_sent)
+                        completed=CompletionStatus.COMPLETED_MAYBE,
+                        message=(f"reply to request {future.request_id} "
+                                 f"did not arrive within the deadline"))
+            if future.exception is not None:
+                raise future.exception
+            rm = future.message
+            assert rm is not None
+            if conn.sink is not None:
+                # the demux read this reply with its stage events
+                # captured; re-emit them here, in the invoking thread or
+                # task, so the active client span gets THIS call's
+                for event in future.stages:
+                    conn.sink.emit(event)
+            reply = rm.msg.body_header
+            if not isinstance(reply, ReplyHeader):
+                raise INTERNAL(message=(
+                    f"request {future.request_id} answered by "
+                    f"{type(reply).__name__}"))
+            status = reply.reply_status.name
+            if active is not None:
+                active.reply_status = status
+            try:
+                result = self._process_reply(conn, sig, rm)
+            finally:
+                # the reply point runs after demarshaling so
+                # interceptors see honest wall time for the invocation
+                if info is not None:
+                    info.reply_status = status
+                    chain.run("receive_reply", info)
+            if active is not None:
+                active.span.status = status
+            return result
+        except BaseException as exc:
+            if active is not None:
+                active.span.status = type(exc).__name__
             raise
-        if future is None:  # oneway: the send is the whole call
-            return None
-        rm = await self._await_reply_async(loop, conn, demux, future,
-                                           deadline)
-        return self._process_reply(conn, sig, rm)
+        finally:
+            if active is not None:
+                engine.finish(active)
 
-    def _send_attempt_sync(self, object_key: bytes,
-                           sig: OperationSignature, args: Sequence[Any],
-                           force_copy: bool, state: _Attempt):
-        """Dial-marshal-register-send, on an executor thread: every
-        piece that may block (connect, socket write) or hold the send
-        lock stays off the event loop."""
+    def _send_attempt(self, state: _Attempt):
+        """Dial, marshal, register and send one attempt — on the
+        invoking thread (sync driver) or an executor thread (async
+        driver), so every piece that may block (connect, socket write)
+        or hold the send lock stays off the event loop."""
         conn, demux = self._ensure_conn()
+        sig = state.sig
         with stage_span(conn.sink, STAGE_MARSHAL) as span:
-            ctx = conn.make_marshal_context(force_copy=force_copy)
+            ctx = conn.make_marshal_context(force_copy=state.force_copy)
             enc = conn.body_encoder()
-            sig.marshal_request(enc, args, ctx)
+            sig.marshal_request(enc, state.args, ctx)
+            # the encoder goes to send_message as a chunk plan — no
+            # join; its nbytes is the same body length the old blob had
             span.add_bytes(enc.nbytes)
         state.had_deposits = bool(ctx.descriptors)
         request = RequestHeader(
             request_id=conn.next_request_id(),
-            object_key=object_key,
+            object_key=state.object_key,
             operation=sig.name,
             response_expected=not sig.oneway,
         )
+        if state.info is not None:
+            state.info.request_id = request.request_id
+        active = state.active
+        if active is not None:
+            active.span.request_id = request.request_id
+            if active.wire:
+                request.service_contexts.append(
+                    active.context.to_service_context())
+        # register BEFORE sending: on synchronous-delivery transports
+        # the reply can arrive inside send_message itself
         future = demux.register(request.request_id) \
             if not sig.oneway else None
         try:
@@ -389,186 +521,7 @@ class IIOPProxy:
             demux.abandon(future)
         return conn, demux, future
 
-    async def _await_reply_async(self, loop, conn: GIOPConn,
-                                 demux: ReplyDemux, future: ReplyFuture,
-                                 deadline: Optional[Deadline]
-                                 ) -> ReceivedMessage:
-        """Await this call's future without a thread: the demux (reader
-        thread or reactor) completes it, a done-callback wakes us via
-        ``call_soon_threadsafe``."""
-        afut = loop.create_future()
-
-        def _wake(_fut) -> None:
-            def _set() -> None:
-                if not afut.done():
-                    afut.set_result(None)
-            try:
-                loop.call_soon_threadsafe(_set)
-            except RuntimeError:
-                pass  # caller's loop already closed; nobody is waiting
-
-        future.add_done_callback(_wake)
-        timeout = None if deadline is None \
-            else max(deadline.remaining, 1e-4)
-        try:
-            await asyncio.wait_for(afut, timeout)
-        except asyncio.TimeoutError:
-            demux.discard(future.request_id)
-            # same squeak-in re-check as the sync path
-            if not future.done:
-                self._stats.timeouts += 1
-                raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_MAYBE,
-                    message=(f"reply to request {future.request_id} did "
-                             f"not arrive within the deadline")) from None
-        except asyncio.CancelledError:
-            # a cancelled stub call must not leak: forget the pending
-            # registration, and release the reply's deposit buffers
-            # whether it landed already or lands later
-            demux.abandon(future)
-            raise
-        if future.exception is not None:
-            raise future.exception
-        rm = future.message
-        assert rm is not None
-        if conn.sink is not None:
-            # captured reply stage events re-emit on the awaiting
-            # task's thread, exactly like the sync path
-            for event in future.stages:
-                conn.sink.emit(event)
-        reply = rm.msg.body_header
-        if not isinstance(reply, ReplyHeader):
-            raise INTERNAL(message=(
-                f"request {future.request_id} answered by "
-                f"{type(reply).__name__}"))
-        return rm
-
-    def _invoke_once(self, object_key: bytes, sig: OperationSignature,
-                     args: Sequence[Any], deadline: Optional[Deadline],
-                     force_copy: bool, state: _Attempt, scope=None,
-                     rec_scope=None) -> Any:
-        self.calls += 1
-        conn, demux = self._ensure_conn()
-        tracer = self._dtracer() if scope is not None else None
-        active = tracer.start_client_span(sig.name, scope) \
-            if tracer is not None else None
-        rec = self._flightrec() if rec_scope is not None else None
-        r_active = rec.start_client_span(sig.name, rec_scope) \
-            if rec is not None else None
-        try:
-            return self._attempt(conn, demux, object_key, sig, args,
-                                 deadline, force_copy, state, active,
-                                 r_active)
-        except BaseException as exc:
-            for a in (active, r_active):
-                if a is not None:
-                    a.record_status(type(exc).__name__)
-            raise
-        finally:
-            # recorder first: its span is the inner of the two stacks
-            if r_active is not None:
-                rec.finish(r_active)
-            if active is not None:
-                tracer.finish(active)
-
-    def _attempt(self, conn: GIOPConn, demux: ReplyDemux,
-                 object_key: bytes, sig: OperationSignature,
-                 args: Sequence[Any], deadline: Optional[Deadline],
-                 force_copy: bool, state: _Attempt, active,
-                 r_active=None) -> Any:
-        chain = self._interceptors()
-        info = None
-        if chain is not None and len(chain):
-            from .interceptors import RequestInfo
-            info = RequestInfo(operation=sig.name, object_key=object_key,
-                               response_expected=not sig.oneway)
-            chain.run("send_request", info)
-        with stage_span(conn.sink, STAGE_MARSHAL) as span:
-            ctx = conn.make_marshal_context(force_copy=force_copy)
-            enc = conn.body_encoder()
-            sig.marshal_request(enc, args, ctx)
-            # the encoder goes to send_message as a chunk plan — no
-            # join; its nbytes is the same body length the old blob had
-            span.add_bytes(enc.nbytes)
-        state.had_deposits = bool(ctx.descriptors)
-        request = RequestHeader(
-            request_id=conn.next_request_id(),
-            object_key=object_key,
-            operation=sig.name,
-            response_expected=not sig.oneway,
-        )
-        if info is not None:
-            info.request_id = request.request_id
-        if active is not None:
-            active.set_request_id(request.request_id)
-            request.service_contexts.append(
-                active.context.to_service_context())
-        if r_active is not None:
-            r_active.set_request_id(request.request_id)
-        # register BEFORE sending: on synchronous-delivery transports
-        # the reply can arrive inside send_message itself
-        future = demux.register(request.request_id) \
-            if not sig.oneway else None
-        try:
-            conn.send_message(request, enc, ctx)
-        except BaseException:
-            if future is not None:
-                demux.discard(request.request_id)
-            raise
-        if sig.oneway:
-            return None
-        rm = self._await_reply(conn, demux, future, deadline)
-        try:
-            result = self._process_reply(conn, sig, rm)
-            for a in (active, r_active):
-                if a is not None:
-                    a.record_status(rm.msg.body_header.reply_status.name)
-            return result
-        finally:
-            # the reply points run after demarshaling so tracing
-            # interceptors see the complete stage record (and honest
-            # wall time) of the invocation
-            if info is not None:
-                reply = rm.msg.body_header
-                info.reply_status = reply.reply_status.name
-                chain.run("receive_reply", info)
-
     # -- reply handling ---------------------------------------------------------
-    def _await_reply(self, conn: GIOPConn, demux: ReplyDemux,
-                     future: ReplyFuture,
-                     deadline: Optional[Deadline] = None) -> ReceivedMessage:
-        """Block on this call's own future; other in-flight calls on the
-        connection proceed independently."""
-        timeout = None if deadline is None \
-            else max(deadline.remaining, 1e-4)
-        if not future.wait(timeout):
-            demux.discard(future.request_id)
-            # re-check: the reply may have squeaked in between the wait
-            # expiring and the discard — a completed future is a reply,
-            # not a timeout (and dropping it would leak its deposits)
-            if not future.done:
-                self._stats.timeouts += 1
-                raise TIMEOUT(
-                    completed=CompletionStatus.COMPLETED_MAYBE,
-                    message=(f"reply to request {future.request_id} did "
-                             f"not arrive within the deadline"))
-        if future.exception is not None:
-            raise future.exception
-        rm = future.message
-        assert rm is not None
-        if conn.sink is not None:
-            # the demux read this reply with its stage events captured;
-            # re-emit them here, on the invoking thread, so the active
-            # client span and stage timers attribute them to THIS call
-            for event in future.stages:
-                conn.sink.emit(event)
-        reply = rm.msg.body_header
-        if not isinstance(reply, ReplyHeader):
-            raise INTERNAL(message=(
-                f"request {future.request_id} answered by "
-                f"{type(reply).__name__}"))
-        return rm
-
     def _process_reply(self, conn: GIOPConn, sig: OperationSignature,
                        rm: ReceivedMessage) -> Any:
         reply = rm.msg.body_header

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.obs.events import StageEvent
+from repro.obs.events import ByteEvent, StageEvent
 from repro.obs.flightrec import DEFAULT_SLOW_THRESHOLD, FlightRecorder
 
 
@@ -79,6 +79,24 @@ class TestRecording:
         rec.enable()
         rec.emit(StageEvent(stage="s", duration_s=0.1))
         assert [e.stage for e in active.span.stages] == ["s"]
+
+    def test_non_stage_events_are_ignored(self, clock):
+        rec = FlightRecorder(slow_threshold=0.0, clock=clock)
+        span = _call(rec, clock, stages=1)
+        rec.emit(ByteEvent(kind="marshal", nbytes=4))  # no span open
+        scope = rec.begin_invocation()
+        active = rec.start_client_span("op", scope)
+        rec.emit(ByteEvent(kind="marshal", nbytes=4))
+        assert rec.finish(active).stages == []
+        assert [e.stage for e in span.stages] == ["s0"]
+
+    def test_events_outside_a_span_are_dropped(self, clock):
+        """A stage event with no span open (a server's blocking read
+        before dispatch opens its span) belongs to no call."""
+        rec = FlightRecorder(slow_threshold=0.0, clock=clock)
+        rec.emit(StageEvent(stage="recv-wait", duration_s=0.2))
+        span = _call(rec, clock, stages=1)
+        assert [e.stage for e in span.stages] == ["s0"]
 
     def test_threads_record_independent_traces(self, clock):
         rec = FlightRecorder(clock=clock)

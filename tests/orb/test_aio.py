@@ -176,14 +176,14 @@ class TestCancellation:
         client = ORB(ORBConfig(scheme="tcp"), pool=pool)
         in_send = threading.Event()
         cancelled = threading.Event()
-        orig_send = IIOPProxy._send_attempt_sync
+        orig_send = IIOPProxy._send_attempt
 
         def held_send(proxy, *a, **kw):
             in_send.set()
             assert cancelled.wait(10.0)
             return orig_send(proxy, *a, **kw)
 
-        monkeypatch.setattr(IIOPProxy, "_send_attempt_sync", held_send)
+        monkeypatch.setattr(IIOPProxy, "_send_attempt", held_send)
         try:
             stub = client.string_to_object(
                 server.object_to_string(server.activate(impl)))

@@ -6,8 +6,11 @@ Covers the acceptance scenarios of the resilience subsystem: a call
 that hits a mid-stream reset completes via retry with backoff; a call
 exceeding its deadline raises TIMEOUT with an honest completion status;
 an interrupted zero-copy deposit returns its buffer to the pool and the
-retry succeeds via the copy path."""
+retry succeeds via the copy path.  Every scenario runs through both
+drivers of the one invocation engine: the blocking ``invoke`` and the
+awaiting ``invoke_async``."""
 
+import asyncio
 import dataclasses
 import time
 
@@ -16,6 +19,7 @@ import pytest
 from repro.core import BufferPool, OctetSequence, ZCOctetSequence
 from repro.orb import (COMM_FAILURE, ORB, TIMEOUT, CompletionStatus,
                        Deadline, InvocationPolicy, ORBConfig, retry_safe)
+from repro.orb.aio import async_api
 from repro.orb.exceptions import INTERNAL, TRANSIENT
 from repro.transport import FaultPlan, faulty_registry
 
@@ -27,6 +31,24 @@ def _policy(**kw):
     kw.setdefault("seed", 7)
     pol = InvocationPolicy(sleep=sleeps.append, **kw)
     return pol, sleeps
+
+
+# The engine's two drivers: every TestX below runs through the blocking
+# one, its TestXAsync subclass repeats each case through async_api.
+def _call_sync(stub, op, *args):
+    return getattr(stub, op)(*args)
+
+
+def _call_async(stub, op, *args):
+    return asyncio.run(getattr(async_api(stub), op)(*args))
+
+
+def _invoke_sync(orb, ior, sig, args, policy):
+    return orb.invoke(ior, sig, args, policy=policy)
+
+
+def _invoke_async(orb, ior, sig, args, policy):
+    return asyncio.run(orb.invoke_async(ior, sig, args, policy=policy))
 
 
 def faulty_client(plan, policy=None):
@@ -126,12 +148,15 @@ class TestDeadline:
 
 
 class TestRetryThroughORB:
+    call = staticmethod(_call_sync)
+    invoke = staticmethod(_invoke_sync)
+
     def test_mid_stream_reset_retried_with_backoff(self, faulty_pair_factory):
         """Acceptance: one mid-stream reset, call still completes."""
         plan = FaultPlan().partial_send(nth=1, fraction=0.5)
         pol, sleeps = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"resilient!")) == 10
+        assert self.call(stub, "put_std", OctetSequence(b"resilient!")) == 10
         assert impl._total == 10  # executed exactly once
         assert [e.action for e in plan.events] == ["partial"]
         assert sleeps == pol.preview_schedule()[:1]
@@ -147,7 +172,8 @@ class TestRetryThroughORB:
         pol, _ = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         payload = bytes(range(256)) * 16
-        assert stub.put(ZCOctetSequence.from_data(payload)) == len(payload)
+        assert self.call(stub, "put", ZCOctetSequence.from_data(payload)) \
+            == len(payload)
         assert isinstance(impl.last, ZCOctetSequence)
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.retries == 1
@@ -160,7 +186,7 @@ class TestRetryThroughORB:
         plan = FaultPlan().corrupt_send(nth=1, byte_offset=0)
         pol, _ = _policy()
         stub, impl, _, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"abc")) == 3
+        assert self.call(stub, "put_std", OctetSequence(b"abc")) == 3
         assert impl._total == 3
 
     def test_budget_exhaustion_raises_original(self, faulty_pair_factory):
@@ -170,7 +196,7 @@ class TestRetryThroughORB:
         pol, sleeps = _policy(max_retries=2)
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(COMM_FAILURE, match="injected reset"):
-            stub.put_std(OctetSequence(b"never"))
+            self.call(stub, "put_std", OctetSequence(b"never"))
         assert impl._total == 0
         assert len(sleeps) == 2
         proxy = next(iter(client._proxies.values()))
@@ -180,7 +206,7 @@ class TestRetryThroughORB:
         plan = FaultPlan().reset_on_send(nth=1)
         stub, impl, _, _ = faulty_pair_factory(plan, policy=None)
         with pytest.raises(COMM_FAILURE):
-            stub.put_std(OctetSequence(b"x"))
+            self.call(stub, "put_std", OctetSequence(b"x"))
         assert impl._total == 0
 
     def test_reply_side_failure_not_retried_unless_idempotent(
@@ -191,7 +217,7 @@ class TestRetryThroughORB:
         pol, _ = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(COMM_FAILURE) as ei:
-            stub.put_std(OctetSequence(b"side-effect"))
+            self.call(stub, "put_std", OctetSequence(b"side-effect"))
         assert ei.value.completed is CompletionStatus.COMPLETED_MAYBE
         assert impl._total == 11  # the server did execute it
 
@@ -203,7 +229,7 @@ class TestRetryThroughORB:
         stub, _, client, _ = faulty_pair_factory(plan, pol)
         sig = dataclasses.replace(stub._signature("get_std"),
                                   idempotent=True)
-        result = client.invoke(stub.ior, sig, [8], policy=pol)
+        result = self.invoke(client, stub.ior, sig, [8], pol)
         assert bytes(result) == bytes(i % 256 for i in range(8))
 
     def test_readonly_attribute_is_idempotent(self, faulty_pair_factory):
@@ -211,16 +237,18 @@ class TestRetryThroughORB:
         so even a COMPLETED_MAYBE failure retries."""
         plan = FaultPlan().reset_on_recv(nth=1)
         pol, _ = _policy()
-        stub, impl, _, _ = faulty_pair_factory(plan, pol)
+        stub, impl, client, _ = faulty_pair_factory(plan, pol)
         impl._total = 99
-        assert stub.total == 99
+        sig = stub._signature("_get_total")
+        assert sig.idempotent
+        assert self.invoke(client, stub.ior, sig, [], pol) == 99
 
     def test_stats_accumulate_across_reconnects(self, faulty_pair_factory):
         plan = FaultPlan().reset_on_send(nth=2)
         pol, _ = _policy()
         stub, _, client, _ = faulty_pair_factory(plan, pol)
-        stub.put_std(OctetSequence(b"one"))
-        stub.put_std(OctetSequence(b"two"))
+        self.call(stub, "put_std", OctetSequence(b"one"))
+        self.call(stub, "put_std", OctetSequence(b"two"))
         proxy = next(iter(client._proxies.values()))
         assert proxy.stats.reconnects == 1
         assert proxy.stats.retries == 1
@@ -233,11 +261,18 @@ class TestRetryThroughORB:
         stub, impl, _, _ = faulty_pair_factory(plan, policy=None)
         pol, _ = _policy()
         stub._set_policy(pol)
-        assert stub.put_std(OctetSequence(b"ok")) == 2
+        assert self.call(stub, "put_std", OctetSequence(b"ok")) == 2
         assert impl._total == 2
 
 
+class TestRetryThroughORBAsync(TestRetryThroughORB):
+    call = staticmethod(_call_async)
+    invoke = staticmethod(_invoke_async)
+
+
 class TestDeadlines:
+    call = staticmethod(_call_sync)
+
     def test_deadline_expiry_mid_send_is_completed_no(
             self, faulty_pair_factory):
         """Acceptance: the stall trips the deadline and the reset
@@ -247,7 +282,7 @@ class TestDeadlines:
         pol, _ = _policy(timeout=0.02, max_retries=5)
         stub, impl, client, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(TIMEOUT) as ei:
-            stub.put_std(OctetSequence(b"too slow"))
+            self.call(stub, "put_std", OctetSequence(b"too slow"))
         assert ei.value.completed is CompletionStatus.COMPLETED_NO
         assert impl._total == 0
         proxy = next(iter(client._proxies.values()))
@@ -260,7 +295,7 @@ class TestDeadlines:
         pol, _ = _policy(timeout=0.02, max_retries=5)
         stub, impl, _, _ = faulty_pair_factory(plan, pol)
         with pytest.raises(TIMEOUT) as ei:
-            stub.put(ZCOctetSequence.from_data(b"z" * 65536))
+            self.call(stub, "put", ZCOctetSequence.from_data(b"z" * 65536))
         assert ei.value.completed is CompletionStatus.COMPLETED_NO
         assert impl._total == 0
 
@@ -278,11 +313,17 @@ class TestDeadlines:
         pol, sleeps = _policy(timeout=5.0, max_retries=2,
                               base_backoff=60.0, jitter=0.0)
         stub, _, _, _ = faulty_pair_factory(plan, pol)
-        assert stub.put_std(OctetSequence(b"ok")) == 2
+        assert self.call(stub, "put_std", OctetSequence(b"ok")) == 2
         assert len(sleeps) == 1 and sleeps[0] <= 5.0
 
 
+class TestDeadlinesAsync(TestDeadlines):
+    call = staticmethod(_call_async)
+
+
 class TestDepositFallback:
+    call = staticmethod(_call_sync)
+
     def test_interrupted_deposit_returns_buffer_and_retries_by_copy(
             self, faulty_pair_factory):
         """Acceptance: a deposit cut mid-landing gives its page-aligned
@@ -294,7 +335,8 @@ class TestDepositFallback:
         pol, sleeps = _policy()
         stub, impl, client, _ = faulty_pair_factory(plan, pol,
                                                     server_pool=pool)
-        assert stub.put(ZCOctetSequence.from_data(payload)) == len(payload)
+        assert self.call(stub, "put", ZCOctetSequence.from_data(payload)) \
+            == len(payload)
         # exactly one landing buffer was acquired, and it went back
         acquired = pool.hits + pool.misses
         assert acquired == 1
@@ -315,9 +357,13 @@ class TestDepositFallback:
         plan = FaultPlan().partial_send(nth=1, fraction=0.5)
         pol, _ = _policy()
         stub, _, _, _ = faulty_pair_factory(plan, pol)
-        stub.put(ZCOctetSequence.from_data(b"q" * 32768))
+        self.call(stub, "put", ZCOctetSequence.from_data(b"q" * 32768))
         (ev,) = plan.events
         assert ev.action == "partial" and ev.op == "send"
+
+
+class TestDepositFallbackAsync(TestDepositFallback):
+    call = staticmethod(_call_async)
 
 
 class TestTCPDeadline:
