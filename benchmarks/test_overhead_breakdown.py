@@ -91,9 +91,10 @@ def test_pipeline_timeline(once):
 
 
 def test_real_orb_instrumentation_matches_model(once, test_api=None):
-    """The same breakdown taken from the REAL ORB's on_bytes hook."""
+    """The same breakdown taken from the REAL ORB's byte events."""
     from repro.core import OctetSequence
     from repro.idl import compile_idl
+    from repro.obs import CallbackSink
     from repro.orb import ORB, ORBConfig
 
     api = compile_idl("""
@@ -108,9 +109,9 @@ def test_real_orb_instrumentation_matches_model(once, test_api=None):
 
     def run():
         server = ORB(ORBConfig(scheme="loop"),
-                     on_bytes=lambda k, n: events.append((k, n)))
+                     sink=CallbackSink(lambda k, n: events.append((k, n))))
         client = ORB(ORBConfig(scheme="loop", collocated_calls=False),
-                     on_bytes=lambda k, n: events.append((k, n)))
+                     sink=CallbackSink(lambda k, n: events.append((k, n))))
         try:
             stub = client.string_to_object(
                 server.object_to_string(server.activate(Impl())))

@@ -60,7 +60,8 @@ class MarshalContext:
     them into the request's service context).  Receiver side:
     ``deposits`` maps deposit-id to the already-landed aligned buffer.
     ``on_bytes`` is an instrumentation callback ``(kind, nbytes)`` with
-    kind one of ``"marshal"``, ``"marshal-bulk"``, ``"reference"``.
+    kind one of ``"marshal"``, ``"marshal-bulk"``, ``"reference"`` (the
+    ORB passes its event sink's byte adapter).
     """
 
     registry: Optional[DepositRegistry] = None

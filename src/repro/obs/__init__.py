@@ -8,8 +8,8 @@ live ORB instead of the offline model:
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
   in a :class:`MetricsRegistry` (injectable clock, label sets);
 * :mod:`repro.obs.events` — the structured event stream the ORB layers
-  emit (byte, stage and wire events), generalizing the old
-  ``on_bytes`` callback into composable :class:`EventSink`\\ s;
+  emit (byte, stage and wire events) to composable
+  :class:`EventSink`\\ s, the ORB's only observation channel;
 * :mod:`repro.obs.stages` — the six invocation stages of Fig. 7 and
   the per-call :class:`InvocationBreakdown`;
 * :mod:`repro.obs.dtrace` — the :class:`SpanEngine` (one span per

@@ -1,22 +1,21 @@
-"""Structured instrumentation events: the generalized ``on_bytes``.
+"""Structured instrumentation events: the ORB's one observation channel.
 
-The seed ORB exposed exactly one hook — ``on_bytes(kind, nbytes)`` — a
-bare callable threaded from the ORB down to the marshalers and the
-connection layer.  That was enough for the simulated testbed's per-byte
-cost model, but a live overhead breakdown (paper §5.2, Fig. 7) needs
-*structure*: which stage of the invocation a cost belongs to, how long
-it took, and what crossed the wire.  This module defines that
-structure:
+The paper locates the CORBA overhead by instrumenting the ORB source
+(§5.2, Fig. 7).  Every ORB layer reports what it does as events to
+the ORB's one :class:`EventSink` (marshalers get its byte adapter,
+:meth:`EventSink.on_bytes`):
 
-* :class:`ByteEvent` — the old hook's payload, now a value object;
+* :class:`ByteEvent` — one byte-touching operation (``marshal``,
+  ``marshal-bulk``, ``reference``, ``deposit-send``, ``deposit-recv``);
+  the simulated testbed's per-byte cost model charges these;
 * :class:`StageEvent` — one timed span of an invocation stage
   (``marshal``, ``control-send``, ... — see :mod:`repro.obs.stages`);
 * :class:`WireEvent` — one GIOP message on the wire: type, request id,
   sizes, fragment count and deposit descriptors.
 
-An :class:`EventSink` receives all three.  Sinks compose
-(:class:`CompositeSink`), record (:class:`RecordingSink`), adapt the
-legacy callback (:class:`CallbackSink`), attribute stages to spans
+Sinks compose (:class:`CompositeSink`), record (:class:`RecordingSink`),
+forward byte events to a plain ``(kind, nbytes)`` callable
+(:class:`CallbackSink`), attribute stages to spans
 (:class:`repro.obs.dtrace.SpanEngine`) or log the wire
 (:class:`repro.obs.tracing.WireTracer`).  The clock is injectable so
 tests never depend on wall time.
@@ -41,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ByteEvent:
-    """One byte-touching operation (the legacy ``on_bytes`` payload)."""
+    """One byte-touching operation."""
 
     kind: str  #: "marshal", "marshal-bulk", "reference", "deposit-send"...
     nbytes: int
@@ -93,9 +92,10 @@ class EventSink:
     def emit(self, event) -> None:
         """Handle one event.  Subclasses override."""
 
-    # -- legacy compatibility ------------------------------------------------
+    # -- byte events ----------------------------------------------------------
     def on_bytes(self, kind: str, nbytes: int) -> None:
-        """Adapter with the old hook's signature; forwards a ByteEvent."""
+        """Emit one ByteEvent; the ``(kind, nbytes)`` callable the
+        marshalers and the connection layer report bytes through."""
         self.emit(ByteEvent(kind=kind, nbytes=nbytes))
 
     # -- stage spans ---------------------------------------------------------
@@ -223,12 +223,10 @@ class CaptureSink(EventSink):
 
 
 class CallbackSink(EventSink):
-    """Wraps a legacy ``on_bytes(kind, nbytes)`` callable as a sink.
+    """Forwards byte events to a plain ``fn(kind, nbytes)`` callable.
 
-    Byte events forward verbatim; stage events with a byte count
-    forward under their stage name, which is how the pre-obs
-    ``deposit-send`` / ``deposit-recv`` kinds keep flowing to existing
-    consumers (the simulated testbed's cost model).
+    Every :class:`ByteEvent` forwards verbatim, the ``deposit-send`` /
+    ``deposit-recv`` kinds included; stage and wire events are dropped.
     """
 
     def __init__(self, fn: Callable[[str, int], None],

@@ -12,12 +12,12 @@ calls can be in flight from one task.
 Three usage shapes:
 
 * one call: ``value = await async_api(stub).get(key)``;
-* windowed fan-out (the async twin of
-  :class:`repro.orb.async_invoke.AsyncInvoker`):
+* windowed fan-out — the ORB's one deferred-call surface:
   ``results = await gather_window(calls, window=8)`` keeps at most
   ``window`` requests pipelined;
 * sync-world bridge: ``run_sync(coro)`` executes a coroutine on the
-  reactor's loop from a plain thread (``run_coroutine_threadsafe``).
+  reactor's loop from a plain thread (``run_coroutine_threadsafe``);
+  :func:`repro.services.read_all` is a windowed fan-out behind it.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ async def gather_window(
         return_exceptions: bool = False) -> list:
     """Run awaitable factories with at most ``window`` in flight.
 
-    The async analogue of ``AsyncInvoker``'s pipelining window: results
-    come back in *submission* order regardless of completion order.
+    Results come back in *submission* order regardless of completion
+    order.
     Factories (not coroutines) are taken so a queued call does not
     even marshal until a window slot frees up.
     """
@@ -99,8 +99,8 @@ def run_sync(coro, timeout: Optional[float] = None,
     Submits to the given reactor's loop (default: the process-wide
     reactor, started on demand) via ``run_coroutine_threadsafe`` and
     blocks for the result — the documented bridge for sync code that
-    wants to reuse an async call path.  Never call this *from* a loop
-    thread; that would deadlock the loop on itself.
+    wants to reuse an async call path.  Called on a thread that runs an
+    event loop it raises RuntimeError instead of blocking that loop.
     """
     if reactor is None:
         from .reactor import get_reactor

@@ -137,7 +137,6 @@ class GIOPConn:
     def __init__(self, stream: Stream, *, pool: Optional[BufferPool] = None,
                  zero_copy: bool = True, generic_loop: bool = False,
                  little_endian: bool = NATIVE_LITTLE,
-                 on_bytes: Optional[Callable[[str, int], None]] = None,
                  orb=None, fragment_size: int = 0,
                  stats: Optional[ConnStats] = None,
                  sink: Optional[EventSink] = None,
@@ -147,8 +146,7 @@ class GIOPConn:
         self.zero_copy = zero_copy
         self.generic_loop = generic_loop
         self.little_endian = little_endian
-        self.on_bytes = on_bytes
-        #: structured event sink (repro.obs): stage spans + wire events;
+        #: structured event sink (repro.obs): stage, wire and byte events;
         #: None keeps the data path free of instrumentation
         self.sink = sink
         self.orb = orb
@@ -190,18 +188,8 @@ class GIOPConn:
     # -- marshaling contexts ------------------------------------------------------
     def bytes_hook(self) -> Optional[Callable[[str, int], None]]:
         """The per-byte instrumentation callback marshalers should use:
-        the legacy ``on_bytes`` hook, the sink's byte-event adapter, or
-        a fan-out to both when both are configured."""
-        if self.sink is None:
-            return self.on_bytes
-        if self.on_bytes is None:
-            return self.sink.on_bytes
-        on_bytes, sink = self.on_bytes, self.sink
-
-        def both(kind: str, nbytes: int) -> None:
-            on_bytes(kind, nbytes)
-            sink.on_bytes(kind, nbytes)
-        return both
+        the sink's byte-event adapter, or None without a sink."""
+        return self.sink.on_bytes if self.sink is not None else None
 
     def make_marshal_context(self, force_copy: bool = False
                              ) -> MarshalContext:
@@ -412,10 +400,9 @@ class GIOPConn:
                                      slot_waits, shared_count=shm_shared)
         if sf_sent or sf_fallback:
             self._record_sendfile_metrics(sf_sent, sf_fallback)
-        if self.on_bytes is not None:
-            for _, view in deposits:
-                self.on_bytes("deposit-send", view.nbytes)
         if self.sink is not None:
+            for _, view in deposits:
+                self.sink.on_bytes("deposit-send", view.nbytes)
             descs = ctx.descriptors if ctx is not None else ()
             self.sink.emit(WireEvent(
                 direction="send", msg_type=body_header.MSG_TYPE.name,
@@ -657,24 +644,15 @@ class GIOPConn:
                 with stage_span(stage_sink, STAGE_DEPOSIT_RECV) as span:
                     for desc in descriptors():
                         receiver.prepare(desc)
-                    if channel is not None:
-                        # shared-memory landing: each deposit record
-                        # maps its arena slot as the final buffer (or
-                        # reads the inline fallback) — no recv_into on
-                        # the arena path
-                        for desc, _ in receiver.pending_in_order():
-                            yield ("land", receiver, desc)
-                            span.add_bytes(desc.size)
-                            if self.on_bytes is not None:
-                                self.on_bytes("deposit-recv", desc.size)
-                    else:
-                        for desc, buf in receiver.pending_in_order():
-                            # land the payload directly in its final
-                            # buffer
-                            yield ("into", buf.view())
-                            span.add_bytes(desc.size)
-                            if self.on_bytes is not None:
-                                self.on_bytes("deposit-recv", desc.size)
+                    for desc, buf in receiver.pending_in_order():
+                        # land the payload directly in its final buffer:
+                        # on shm, map its arena slot (or read the inline
+                        # fallback) — no recv_into on the arena path
+                        yield (("land", receiver, desc) if channel is not None
+                               else ("into", buf.view()))
+                        span.add_bytes(desc.size)
+                        if self.sink is not None:
+                            self.sink.on_bytes("deposit-recv", desc.size)
                     for desc, _ in list(receiver.pending_in_order()):
                         deposits[desc.deposit_id] = receiver.complete(
                             desc.deposit_id)

@@ -10,8 +10,6 @@ GIOP reply status.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from ..cdr import get_marshaller
 from ..giop import (SVC_CTX_DEPOSIT, SVC_CTX_TRACE, ReplyHeader, ReplyStatus,
                     RequestHeader)
@@ -52,10 +50,8 @@ def _echo_contexts(req: RequestHeader) -> list:
 class MethodDispatcher:
     """Routes requests from connections into servants of one POA."""
 
-    def __init__(self, poa: POA,
-                 on_bytes: Optional[Callable[[str, int], None]] = None):
+    def __init__(self, poa: POA):
         self.poa = poa
-        self.on_bytes = on_bytes
         self.requests_dispatched = 0
         self.errors = 0
 
@@ -112,9 +108,7 @@ class MethodDispatcher:
                 raise OBJECT_NOT_EXIST(
                     message=f"no servant for key {req.object_key!r}")
             sig = self._resolve(servant, req.operation)
-            hook = conn.bytes_hook() if conn.sink is not None \
-                else self.on_bytes
-            ctx = rm.make_demarshal_context(on_bytes=hook,
+            ctx = rm.make_demarshal_context(on_bytes=conn.bytes_hook(),
                                             generic_loop=conn.generic_loop,
                                             orb=conn.orb)
             dec = rm.params_decoder()

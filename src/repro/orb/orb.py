@@ -12,9 +12,11 @@ and the configuration switches the paper's experiments flip:
 * ``collocated_calls`` — bypass marshaling for same-process objects
   (§2.1).
 
-Instrumentation: assign :attr:`ORB.on_bytes` before creating
-connections to observe every byte-touching event (used by the overhead
--breakdown benchmark and the simulated transport).
+Instrumentation: pass ``sink=`` (a :class:`repro.obs.EventSink`) or
+assign :attr:`ORB.sink` before creating connections to observe every
+stage, wire and byte-touching event (the overhead-breakdown benchmark
+passes a :class:`repro.obs.CallbackSink`, the simulated transport its
+:class:`repro.transport.sim.SimClock`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Type
+from typing import Any, Dict, Optional, Sequence, Type
 
 from ..core.buffers import BufferPool, default_pool
 from ..giop import IOR, IIOPProfile
@@ -102,13 +104,11 @@ class ORB:
     def __init__(self, config: Optional[ORBConfig] = None,
                  transports: Optional[TransportRegistry] = None,
                  pool: Optional[BufferPool] = None,
-                 on_bytes: Optional[Callable[[str, int], None]] = None,
                  policy: Optional[InvocationPolicy] = None,
                  sink=None):
         self.config = config or ORBConfig()
         self.transports = transports or default_registry()
         self.pool = pool or default_pool()
-        self.on_bytes = on_bytes
         self.orb_id = next(_orb_ids)
         #: the span engine (repro.obs.dtrace.SpanEngine): one span per
         #: client attempt and per served request, sync or async.  The
@@ -127,7 +127,7 @@ class ORB:
         #: structured event sink (repro.obs.EventSink): stage spans,
         #: wire events and byte events from every connection this ORB
         #: creates.  Assign (or call :meth:`enable_tracing`) before the
-        #: first connection exists, like :attr:`on_bytes`.
+        #: first connection exists.
         self.sink = sink
         if self.flightrec is not None:
             self.sink = self.flightrec if sink is None \
@@ -198,8 +198,8 @@ class ORB:
         in memory.  ``sample_rate`` decides per-trace at the root;
         ``trace_seed`` makes id generation reproducible.
 
-        Call before the first connection exists (like
-        :attr:`on_bytes`); existing connections keep their old sink.
+        Call before the first connection exists (like assigning
+        :attr:`sink`); existing connections keep their old sink.
         """
         from ..obs import TracingInterceptor, WireTracer
         tracer = TracingInterceptor(registry=registry, keep=keep)
@@ -293,7 +293,7 @@ class ORB:
             server = IIOPServer(self.poa, pool=self.pool,
                                 zero_copy=cfg.zero_copy,
                                 generic_loop=cfg.generic_loop,
-                                on_bytes=self.on_bytes, orb=self,
+                                orb=self,
                                 fragment_size=cfg.fragment_size,
                                 wire_little_endian=cfg.wire_little_endian,
                                 sink=self.sink,
@@ -504,7 +504,7 @@ class ORB:
                 return GIOPConn(stream, pool=self.pool,
                                 zero_copy=self.config.zero_copy,
                                 generic_loop=self.config.generic_loop,
-                                on_bytes=self.on_bytes, orb=self,
+                                orb=self,
                                 fragment_size=self.config.fragment_size,
                                 sendfile_min_size=self.config
                                 .sendfile_min_size,

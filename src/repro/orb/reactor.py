@@ -330,9 +330,20 @@ class Reactor:
         return self._shards[fd % len(self._shards)].loop
 
     def run_sync(self, coro, timeout: Optional[float] = None):
-        """Run a coroutine on shard 0 from a non-loop thread and wait."""
-        fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        return fut.result(timeout)
+        """Run a coroutine on shard 0 from a non-loop thread and wait.
+
+        On a thread that is running an event loop this raises
+        RuntimeError at once: blocking there would stall that loop, and
+        on shard 0's own thread deadlock it until ``timeout``.
+        """
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            fut = asyncio.run_coroutine_threadsafe(coro, self.loop)
+            return fut.result(timeout)
+        coro.close()
+        raise RuntimeError(
+            "run_sync called on an event loop's thread; await instead")
 
     # -- metrics ------------------------------------------------------------
     def attach_orb(self, orb) -> None:

@@ -169,7 +169,6 @@ class IIOPServer:
 
     def __init__(self, poa: POA, *, pool: Optional[BufferPool] = None,
                  zero_copy: bool = True, generic_loop: bool = False,
-                 on_bytes: Optional[Callable[[str, int], None]] = None,
                  orb=None, fragment_size: int = 0,
                  wire_little_endian=None, sink=None,
                  workers: int = 4, queue_depth: int = 32,
@@ -185,13 +184,12 @@ class IIOPServer:
         self.pool = pool
         self.zero_copy = zero_copy
         self.generic_loop = generic_loop
-        self.on_bytes = on_bytes
         #: structured event sink handed to every accepted connection
         self.sink = sink
         self.fragment_size = fragment_size
         self.sendfile_min_size = sendfile_min_size
         self.wire_little_endian = wire_little_endian
-        self.dispatcher = MethodDispatcher(poa, on_bytes=on_bytes)
+        self.dispatcher = MethodDispatcher(poa)
         self.listeners: List = []
         self._conns: List[GIOPConn] = []
         self._reader_threads: List[threading.Thread] = []
@@ -223,8 +221,7 @@ class IIOPServer:
         sink = self.sink if self.sink is not None \
             else getattr(self.orb, "sink", None)
         conn = GIOPConn(stream, pool=self.pool, zero_copy=self.zero_copy,
-                        generic_loop=self.generic_loop,
-                        on_bytes=self.on_bytes, orb=self.orb,
+                        generic_loop=self.generic_loop, orb=self.orb,
                         fragment_size=self.fragment_size,
                         sendfile_min_size=self.sendfile_min_size,
                         sink=sink, **kw)

@@ -11,13 +11,14 @@ side.  On shm links the range is staged into the arena; everywhere
 else it falls back to a plain copy.  One service, three tiers.
 
 The client helper streams a whole blob with a bounded window of
-in-flight ``read_range`` requests riding the ORB's GIOP pipelining
-(PR 4): chunk ``k+window`` is requested before chunk ``k``'s reply
-has landed, hiding the request round-trip behind the data transfer.
+in-flight ``read_range`` requests riding the ORB's GIOP pipelining:
+chunk ``k+window`` is requested before chunk ``k``'s reply has landed,
+hiding the request round-trip behind the data transfer.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -25,7 +26,7 @@ from typing import Dict, Optional
 
 from ..core.buffers import FileBackedBuffer
 from ..idl import compile_idl
-from ..orb.async_invoke import AsyncInvoker
+from ..orb.aio import async_api, gather_window, run_sync
 
 __all__ = ["BLOB_IDL", "blob_api", "BlobStoreImpl", "read_all"]
 
@@ -142,41 +143,36 @@ class BlobStoreImpl:
 
 
 def read_all(store, name: str, *, window: int = 4,
-             chunk_size: Optional[int] = None,
-             invoker: Optional[AsyncInvoker] = None) -> bytes:
+             chunk_size: Optional[int] = None) -> bytes:
     """Stream the whole blob ``name`` from ``store``; returns its bytes.
 
     Keeps up to ``window`` ``read_range`` requests in flight on the
-    connection (GIOP pipelining), reassembling replies in offset
-    order.  ``chunk_size`` defaults to the server's preferred granule.
+    connection (GIOP pipelining, driven by ``gather_window`` on the
+    reactor's loop) and joins the replies in offset order.
+    ``chunk_size`` defaults to the server's preferred granule.  The
+    handle is closed on every path, after the last read has finished.
+    Call it from a plain thread, not an event loop's.
     """
     if window <= 0:
         raise ValueError(f"window must be positive: {window}")
     handle = store.open(name)
-    own_invoker = invoker is None
-    if own_invoker:
-        invoker = AsyncInvoker(max_workers_per_endpoint=window)
     try:
         info = store.stat(handle)
         chunk = chunk_size if chunk_size is not None else info.chunk_size
         if chunk <= 0:
             raise ValueError(f"chunk_size must be positive: {chunk}")
-        offsets = list(range(0, info.size, chunk))
-        parts = []
-        pending = {}  # offset -> Future, at most `window` entries
-        nxt = 0
-        for off in offsets:
-            while len(pending) >= window:
-                head = offsets[nxt]
-                parts.append(bytes(pending.pop(head).result()))
-                nxt += 1
-            pending[off] = invoker.submit(
-                store, "read_range", (handle, off, chunk))
-        while nxt < len(offsets):
-            parts.append(bytes(pending.pop(offsets[nxt]).result()))
-            nxt += 1
+        reader = async_api(store)
+
+        async def read(offset: int) -> bytes:
+            return bytes(await reader.read_range(handle, offset, chunk))
+
+        parts = run_sync(gather_window(
+            [functools.partial(read, off)
+             for off in range(0, info.size, chunk)],
+            window=window, return_exceptions=True))
+        for part in parts:
+            if isinstance(part, BaseException):
+                raise part
         return b"".join(parts)
     finally:
         store.close(handle)
-        if own_invoker:
-            invoker.shutdown()

@@ -4,8 +4,9 @@ Runs the actual ORB byte-for-byte over an in-process loopback pair
 while charging a :class:`SimClock` with the time the same traffic would
 have taken on the paper's 2003 hardware.  Each ``sendv`` is costed as
 one pipelined stream through the configured stack model; ORB-level
-per-byte work (marshal loops, bulk copies) is charged through the ORB's
-``on_bytes`` instrumentation hook.
+per-byte work (marshal loops, bulk copies) is charged from the byte
+events the ORB emits to its event sink — pass the clock as
+``ORB(sink=clock)``.
 
 This is the consistency bridge between the two reproduction modes: an
 integration test drives one CORBA request through this transport and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..obs.events import ByteEvent, EventSink
 from ..simnet import (GIGABIT_ETHERNET, PENTIUM_II_400, LinkProfile,
                       MachineProfile, StackConfig, measure_stream,
                       standard_stack)
@@ -26,10 +28,18 @@ from .loopback import LoopbackStream, LoopbackTransport
 __all__ = ["SimClock", "SimTransport", "SimStream"]
 
 
-class SimClock:
-    """Accumulates modelled nanoseconds for one simulated node pair."""
+class SimClock(EventSink):
+    """Accumulates modelled nanoseconds for one simulated node pair.
+
+    As an event sink it charges the ORB's byte events; stage and wire
+    events cost nothing.  It declines split control/deposit sends, so
+    an untraced simulated run keeps the single-``sendv`` geometry.
+    """
+
+    wire_stages = False
 
     def __init__(self, profile: MachineProfile = PENTIUM_II_400):
+        super().__init__()
         self.profile = profile
         self.now_ns = 0
         self.charges: Dict[str, int] = {}
@@ -40,9 +50,10 @@ class SimClock:
         self.now_ns += ns
         self.charges[label] = self.charges.get(label, 0) + ns
 
-    # -- ORB instrumentation hook (assign to ORB.on_bytes) ----------------
-    def on_bytes(self, kind: str, nbytes: int) -> None:
-        p = self.profile
+    def emit(self, event) -> None:
+        if not isinstance(event, ByteEvent):
+            return
+        kind, nbytes, p = event.kind, event.nbytes, self.profile
         if kind == "marshal":
             self.advance(int(nbytes * p.marshal_loop_ns_per_byte), kind)
         elif kind == "marshal-bulk":

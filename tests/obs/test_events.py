@@ -1,11 +1,16 @@
-"""Event sinks and stage spans: the structured on_bytes replacement."""
+"""Event sinks and stage spans: the ORB's one observation channel."""
+
+import time
 
 import pytest
 
+from repro.core import ZCOctetSequence
 from repro.obs import (ByteEvent, CallbackSink, CompositeSink, EventSink,
                        NullSink, RecordingSink, StageEvent, WireEvent,
                        stage_span)
 from repro.obs.events import _NULL_SPAN
+from repro.orb import ORB, ORBConfig
+from tests.conftest import make_store_impl
 
 
 def test_stage_span_measures_with_injected_clock(clock):
@@ -100,3 +105,37 @@ def test_wire_stages_defaults_true_composes_any():
     assert CompositeSink([rec]).wire_stages is False
     assert CompositeSink([rec, NullSink()]).wire_stages is True
     assert CompositeSink([]).wire_stages is False
+
+
+@pytest.mark.parametrize("scheme", ["loop", "tcp"])
+def test_deposit_byte_events_reach_the_sink(test_api, scheme):
+    """A zc put and a zc get over a real ORB pair: each side's sink sees
+    exactly one deposit-send and one deposit-recv ByteEvent per
+    deposit, with the payload size."""
+    size = 1 << 20
+    client_sink, server_sink = RecordingSink(), RecordingSink()
+    server = ORB(ORBConfig(scheme=scheme), sink=server_sink)
+    client = ORB(ORBConfig(scheme=scheme, collocated_calls=False),
+                 sink=client_sink)
+
+    def deposits(sink):
+        return sorted((e.kind, e.nbytes) for e in sink.of_type(ByteEvent)
+                      if e.kind.startswith("deposit-"))
+
+    expected = [("deposit-recv", size), ("deposit-send", size)]
+    try:
+        stub = client.string_to_object(server.object_to_string(
+            server.activate(make_store_impl(test_api))))
+        stub.put(ZCOctetSequence.from_data(bytes(size)))
+        assert len(stub.get(size)) == size
+        # the server reports its reply's deposit after the send
+        # returns, which can be after the client already has the reply
+        deadline = time.monotonic() + 5.0
+        while (len(deposits(server_sink)) < len(expected)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+    finally:
+        client.shutdown()
+        server.shutdown()
+    assert deposits(client_sink) == expected
+    assert deposits(server_sink) == expected

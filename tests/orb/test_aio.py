@@ -105,12 +105,63 @@ class TestGatherWindow:
         with pytest.raises(ValueError):
             asyncio.run(gather_window([], window=0))
 
+    def test_calls_to_different_servers_overlap(self):
+        """Two slow tcp servers, one windowed call each: wall time ~ one
+        call, not two."""
+        from repro.idl import compile_idl
+        api = compile_idl("""
+        interface Slow { double work(in double seconds); };
+        """, module_name="_aio_slow_idl")
+
+        class SlowImpl(api.Slow_skel):
+            def work(self, seconds):
+                time.sleep(seconds)
+                return seconds
+
+        client = ORB(ORBConfig(scheme="tcp", collocated_calls=False))
+        orbs, stubs = [], []
+        for _ in range(2):
+            orb = ORB(ORBConfig(scheme="tcp"))
+            stubs.append(async_api(client.string_to_object(
+                orb.object_to_string(orb.activate(SlowImpl())))))
+            orbs.append(orb)
+
+        async def go():
+            t0 = time.perf_counter()
+            results = await gather_window(
+                [lambda s=s: s.work(0.3) for s in stubs], window=2)
+            return results, time.perf_counter() - t0
+
+        try:
+            results, elapsed = asyncio.run(go())
+            assert results == [0.3, 0.3]
+            assert elapsed < 0.55  # overlapped, not 0.6+ serial
+        finally:
+            client.shutdown()
+            for orb in orbs:
+                orb.shutdown()
+
 
 class TestRunSync:
     def test_bridges_from_a_plain_thread(self, async_pair):
         ast, *_ = async_pair
         got = run_sync(ast.get_std(5), timeout=30.0)
         assert len(bytes(got)) == 5
+
+    def test_refuses_a_running_loops_thread(self):
+        """On the reactor's own loop (or any running loop) run_sync
+        raises at once instead of blocking that loop until timeout."""
+        async def inner():
+            return 1
+
+        async def outer():
+            t0 = time.perf_counter()
+            with pytest.raises(RuntimeError):
+                run_sync(inner(), timeout=2.0)
+            return time.perf_counter() - t0
+
+        assert run_sync(outer(), timeout=10.0) < 1.0
+        assert asyncio.run(outer()) < 1.0
 
 
 class TestCancellation:

@@ -7,6 +7,8 @@ arena staging on shm, plain views everywhere else.
 """
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -123,6 +125,59 @@ class TestReadAll:
                 read_all(store, "missing.bin")
             h = store.open("small.txt")
             store.close(h)
+        finally:
+            impl.shutdown()
+            client.shutdown()
+            server.shutdown()
+
+    def test_window_bounds_concurrent_reads(self, blob_root):
+        """More server workers (4) than the window (2): the servant never
+        sees more than ``window`` read_range upcalls at once."""
+        _, data = blob_root
+        store, impl, client, server = _pair("tcp", blob_root,
+                                            chunk_size=256 * 1024)
+        read_range, lock = impl.read_range, threading.Lock()
+        live = peak = 0
+
+        def counting(handle, offset, count):
+            nonlocal live, peak
+            with lock:
+                live += 1
+                peak = max(peak, live)
+            try:
+                time.sleep(0.02)
+                return read_range(handle, offset, count)
+            finally:
+                with lock:
+                    live -= 1
+
+        impl.read_range = counting
+        try:
+            assert read_all(store, "movie.bin", window=2) == data
+            assert 1 <= peak <= 2
+        finally:
+            impl.shutdown()
+            client.shutdown()
+            server.shutdown()
+
+    def test_failed_read_closes_handle(self, blob_root):
+        """A read_range failing mid-stream raises out of read_all, and
+        the handle is closed once the other reads are done."""
+        api = blob_api()
+        store, impl, client, server = _pair("loop", blob_root,
+                                            chunk_size=256 * 1024)
+        read_range = impl.read_range
+
+        def failing(handle, offset, count):
+            if offset == 512 * 1024:
+                raise api.Blob_IOFailed(why="disk")
+            return read_range(handle, offset, count)
+
+        impl.read_range = failing
+        try:
+            with pytest.raises(api.Blob_IOFailed):
+                read_all(store, "movie.bin", window=3)
+            assert impl._handles == {}
         finally:
             impl.shutdown()
             client.shutdown()

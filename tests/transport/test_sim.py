@@ -18,8 +18,8 @@ def _orb_pair_over_sim(test_api, store_impl, stack, zero_copy,
     reg.register(transport)
     cfg = ORBConfig(scheme="sim", zero_copy=zero_copy,
                     generic_loop=generic_loop, collocated_calls=False)
-    server = ORB(cfg, transports=reg, on_bytes=clock.on_bytes)
-    client = ORB(cfg, transports=reg, on_bytes=clock.on_bytes)
+    server = ORB(cfg, transports=reg, sink=clock)
+    client = ORB(cfg, transports=reg, sink=clock)
     if collector is not None:
         server.enable_tracing(distributed=True, collector=collector,
                               trace_seed=1)
